@@ -27,7 +27,9 @@
 //	POST /v1/batch               {"specs":[...]} -> {"results":[...]} in spec order
 //	GET  /v1/apps                the Table 4 application list
 //	GET  /v1/stats               per-tier store occupancy and maintenance counters
-//	GET  /v1/result/{key}        store-only lookup (PUT: replication push target)
+//	GET  /v1/result/{key}        store-only lookup (upstream read-through, anti-entropy pulls)
+//	POST /v1/results/missing     which of a key list the store lacks (internode presence check)
+//	POST /v1/results             multi-key replica push, length-prefixed frames (internode)
 //	GET  /v1/cluster             ring, per-peer health, handoff/rebalance state
 //	GET  /v1/cluster/membership  current membership (POST: join/remove/decommission/adopt)
 //	GET  /v1/cluster/digest      anti-entropy range digest (internode)

@@ -203,20 +203,19 @@ func (s *Server) AntiEntropyPass(ctx context.Context) (pulled, pushed int) {
 				pulled++
 				s.m.add(&s.m.antiEntropyPulled)
 			}
+			var lacks []string
 			for _, k := range local {
-				if remoteSet[k] {
-					continue
+				if !remoteSet[k] {
+					lacks = append(lacks, k)
 				}
-				body, ok := st.Get(k)
-				if !ok {
-					continue // evicted since the digest; recomputable
+			}
+			// Keys evicted since the digest come back transferGone:
+			// recomputable, so not a failure.
+			for _, o := range s.transfer(ctx, "anti-entropy", peer, lacks, nil) {
+				if o == transferStored {
+					pushed++
+					s.m.add(&s.m.antiEntropyPushed)
 				}
-				if err := s.peerClient(peer).PushResult(ctx, k, body); err != nil {
-					s.cfg.Log.Printf("anti-entropy: push %s -> %s: %v", k[:8], peer, err)
-					continue
-				}
-				pushed++
-				s.m.add(&s.m.antiEntropyPushed)
 			}
 		}
 	}

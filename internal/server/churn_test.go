@@ -281,7 +281,7 @@ func TestAntiEntropyRepair(t *testing.T) {
 		sum := sha256.Sum256([]byte(fmt.Sprintf("antientropy-%d", i)))
 		return hex.EncodeToString(sum[:])
 	}
-	// The push target (PUT /v1/result) validates bodies as JSON, like every
+	// The push target (POST /v1/results) validates values as JSON, like every
 	// real result; divergent replicas are seeded with distinct JSON values.
 	valOf := func(i int) []byte { return []byte(fmt.Sprintf(`{"replica":%d}`, i)) }
 	const onlyA, onlyB = 20, 5
@@ -677,9 +677,10 @@ func TestClusterChurnSweep(t *testing.T) {
 }
 
 // BenchmarkRebalance measures a steady-state rebalance pass over a fixed
-// resident corpus: every key Lookup-probed at its other replica, nothing
-// pushed — the recurring cost of the mover once a ring change has been
-// absorbed. The first (unmeasured) pass pays the actual moves.
+// resident corpus: every key already at its other replica, so the pass is
+// one batched presence check and nothing pushed — the recurring cost of
+// the mover once a ring change has been absorbed. The first (unmeasured)
+// pass pays the actual moves.
 func BenchmarkRebalance(b *testing.B) {
 	ctx := context.Background()
 	listeners := make([]net.Listener, 2)

@@ -109,18 +109,18 @@ func (c *Client) post(ctx context.Context, path string, in any) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	return c.do(ctx, http.MethodPost, path, body)
+	return c.do(ctx, http.MethodPost, path, "application/json", body)
 }
 
 func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
-	return c.do(ctx, http.MethodGet, path, nil)
+	return c.do(ctx, http.MethodGet, path, "", nil)
 }
 
 // do issues the request with the client's retry policy: up to
 // Retry.MaxAttempts tries, exponential backoff with deterministic jitter
 // between them, Retry-After honored on 429, and the circuit breaker (if
-// any) consulted before each attempt.
-func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+// any) consulted before each attempt. ctype labels a non-nil body.
+func (c *Client) do(ctx context.Context, method, path, ctype string, body []byte) ([]byte, error) {
 	attempts := c.Retry.attempts()
 	var last error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -135,7 +135,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 			}
 			return nil, ErrCircuitOpen
 		}
-		raw, err := c.attempt(ctx, method, path, body)
+		raw, err := c.attempt(ctx, method, path, ctype, body)
 		if err == nil {
 			return raw, nil
 		}
@@ -157,7 +157,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 // and the outcome recorded on the breaker. Server faults (transport errors,
 // 5xx, attempt timeouts) count as breaker failures; 4xx contract errors and
 // 429 load shedding count as successes — the server is responsive.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+func (c *Client) attempt(ctx context.Context, method, path, ctype string, body []byte) ([]byte, error) {
 	actx := ctx
 	if c.Retry.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
@@ -173,7 +173,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 		return nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", ctype)
 	}
 	for k, v := range c.Headers {
 		req.Header.Set(k, v)
@@ -456,11 +456,38 @@ func (c *Client) Lookup(ctx context.Context, key string) ([]byte, bool, error) {
 	return raw, true, nil
 }
 
-// PushResult hands a locally stored result to the server (PUT
-// /v1/result/{key}) — the hinted-handoff push used by the repair loop.
-func (c *Client) PushResult(ctx context.Context, key string, body []byte) error {
-	_, err := c.do(ctx, http.MethodPut, "/v1/result/"+key, body)
-	return err
+// MissingResults asks the server which of keys (at most 256) its store
+// cannot serve (POST /v1/results/missing) — the presence check before a
+// replica push. The answer is in request order and carries no values.
+func (c *Client) MissingResults(ctx context.Context, keys []string) ([]string, error) {
+	raw, err := c.post(ctx, "/v1/results/missing", MissingRequest{Keys: keys})
+	if err != nil {
+		return nil, err
+	}
+	var resp MissingResponse
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		return nil, fmt.Errorf("netcached: decoding missing keys: %w", err)
+	}
+	return resp.Missing, nil
+}
+
+// PushResults stores results on the server in one request (POST
+// /v1/results, at most 256 frames) — the replica push of the rebalance
+// mover, hinted-handoff repair and anti-entropy. It returns one outcome per
+// frame, in order; an error means no frame's fate is known.
+func (c *Client) PushResults(ctx context.Context, frames []ResultFrame) ([]PushOutcome, error) {
+	raw, err := c.do(ctx, http.MethodPost, "/v1/results", "application/octet-stream", encodeFrames(frames))
+	if err != nil {
+		return nil, err
+	}
+	var resp PushResponse
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		return nil, fmt.Errorf("netcached: decoding push outcomes: %w", err)
+	}
+	if len(resp.Results) != len(frames) {
+		return nil, fmt.Errorf("netcached: push returned %d outcomes for %d frames", len(resp.Results), len(frames))
+	}
+	return resp.Results, nil
 }
 
 // ClusterStatus fetches /v1/cluster: ring parameters, per-peer health, and

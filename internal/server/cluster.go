@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
@@ -213,56 +212,48 @@ func (s *Server) stopRepair() {
 }
 
 // RepairHandoffs replays pending hinted handoffs whose owner is reachable:
-// the locally stored bytes are pushed to the owner with PUT
-// /v1/result/{key} and the hint dropped on success. It returns how many
-// hints were pushed. The background loop calls it every RepairInterval;
-// tests and operators may force a pass.
+// hints are grouped by owner and their keys moved home through transfer —
+// one presence check and one push per batch. A hint is dropped once its
+// key is stored at the owner or already present there, and when the local
+// value is gone (evicted before the owner recovered: recomputable, so the
+// hint is moot). It returns how many hints were pushed. The background
+// loop calls it every RepairInterval; tests and operators may force a
+// pass.
 func (s *Server) RepairHandoffs(ctx context.Context) (pushed int) {
 	st, cl := s.cfg.Store, s.cfg.Cluster
 	if st == nil || cl == nil {
 		return 0
 	}
+	byOwner := make(map[string][]string)
 	for _, e := range st.HandoffPending() {
-		if ctx.Err() != nil {
-			return pushed
-		}
 		if e.Owner == cl.Self() || !cl.Member(e.Owner) {
 			// Our own key (ring view healed) or a peer no longer in the
 			// set: the hint is stale, the local copy is already served.
 			st.HandoffRemove(e.Key)
 			continue
 		}
-		if !cl.Up(e.Owner) {
-			continue // still down; keep the hint
+		byOwner[e.Owner] = append(byOwner[e.Owner], e.Key)
+	}
+	for _, owner := range sortedKeys(byOwner) {
+		if ctx.Err() != nil {
+			return pushed
 		}
-		// Probe before pushing: the owner may already hold the key (it
-		// recomputed it itself, a rebalance pass moved it, or another
-		// replica's hint won the race). A store-only lookup costs a small
-		// GET; re-sending the body costs the whole value. A failed probe
-		// falls through to the push — an extra write is never wrong.
-		if _, found, err := s.peerClient(e.Owner).Lookup(ctx, e.Key); err == nil && found {
-			st.HandoffRemove(e.Key)
-			s.m.add(&s.m.handoffReaped)
-			continue
+		if !cl.Up(owner) {
+			continue // still down; keep the hints
 		}
-		body, ok := st.Get(e.Key)
-		if !ok {
-			// Evicted before the owner recovered: the value is gone but
-			// recomputable, so the hint is moot.
-			st.HandoffRemove(e.Key)
-			continue
-		}
-		if err := s.peerClient(e.Owner).PushResult(ctx, e.Key, body); err != nil {
-			var se *StatusError
-			if !errors.As(err, &se) && ctx.Err() == nil {
-				cl.MarkDown(e.Owner)
+		keys := byOwner[owner]
+		for i, o := range s.transfer(ctx, "handoff", owner, keys, nil) {
+			switch o {
+			case transferStored:
+				s.m.add(&s.m.handoffPushed)
+				pushed++
+			case transferPresent:
+				s.m.add(&s.m.handoffReaped)
+			case transferFailed:
+				continue // keep the hint for the next pass
 			}
-			s.cfg.Log.Printf("handoff push %s -> %s: %v", e.Key[:8], e.Owner, err)
-			continue
+			st.HandoffRemove(keys[i])
 		}
-		st.HandoffRemove(e.Key)
-		s.m.add(&s.m.handoffPushed)
-		pushed++
 	}
 	return pushed
 }
@@ -284,69 +275,34 @@ func validResultKey(key string) bool {
 	return true
 }
 
-// maxPushBytes caps a PUT /v1/result body.
+// maxPushBytes caps a POST /v1/results body.
 const maxPushBytes = 64 << 20
 
-// handleResult serves GET/PUT /v1/result/{key}: a store-only lookup that
-// never simulates (the upstream read-through primitive), and the handoff
-// push target that lets a peer hand a recomputed result to its owner.
+// handleResult serves GET /v1/result/{key}: a store-only lookup that never
+// simulates — the upstream read-through and anti-entropy pull primitive.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		s.writeError(w, "/v1/result", http.StatusMethodNotAllowed, "GET only")
+		return
+	}
 	key := strings.TrimPrefix(r.URL.Path, "/v1/result/")
 	if !validResultKey(key) {
 		s.writeError(w, "/v1/result", http.StatusBadRequest, "key must be 64 hex chars")
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		if s.cfg.Store == nil {
-			s.writeError(w, "/v1/result", http.StatusNotFound, "no store configured")
-			return
-		}
-		body, ok := s.cfg.Store.Get(key)
-		if !ok {
-			s.writeError(w, "/v1/result", http.StatusNotFound, "not cached")
-			return
-		}
-		s.m.add(&s.m.storeServed)
-		s.m.request("/v1/result", http.StatusOK)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-	case http.MethodPut:
-		if s.cfg.Store == nil {
-			s.writeError(w, "/v1/result", http.StatusNotImplemented, "no store configured")
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxPushBytes+1))
-		if err != nil {
-			s.writeError(w, "/v1/result", http.StatusBadRequest, "reading body: "+err.Error())
-			return
-		}
-		if len(body) > maxPushBytes {
-			s.writeError(w, "/v1/result", http.StatusRequestEntityTooLarge, "result exceeds push cap")
-			return
-		}
-		if !json.Valid(body) {
-			s.writeError(w, "/v1/result", http.StatusBadRequest, "body is not JSON")
-			return
-		}
-		if !s.allowPut() {
-			// Degraded: tell the pusher to keep its hint and retry later.
-			s.writeError(w, "/v1/result", http.StatusServiceUnavailable, "store degraded; retry later")
-			return
-		}
-		if err := s.cfg.Store.Put(key, body); err != nil {
-			s.putFailed(key, err)
-			s.writeError(w, "/v1/result", http.StatusInternalServerError, "store put: "+err.Error())
-			return
-		}
-		s.putSucceeded()
-		s.m.add(&s.m.handoffReceived)
-		s.m.request("/v1/result", http.StatusOK)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"stored":true}` + "\n"))
-	default:
-		s.writeError(w, "/v1/result", http.StatusMethodNotAllowed, "GET or PUT")
+	if s.cfg.Store == nil {
+		s.writeError(w, "/v1/result", http.StatusNotFound, "no store configured")
+		return
 	}
+	body, ok := s.cfg.Store.Get(key)
+	if !ok {
+		s.writeError(w, "/v1/result", http.StatusNotFound, "not cached")
+		return
+	}
+	s.m.add(&s.m.storeServed)
+	s.m.request("/v1/result", http.StatusOK)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
 }
 
 // ClusterResponse is the GET /v1/cluster body.

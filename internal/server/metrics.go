@@ -82,9 +82,11 @@ func (m *metrics) simDone(app string, micros int64) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) add(field *uint64) {
+func (m *metrics) add(field *uint64) { m.addN(field, 1) }
+
+func (m *metrics) addN(field *uint64, n int) {
 	m.mu.Lock()
-	*field++
+	*field += uint64(n)
 	m.mu.Unlock()
 }
 

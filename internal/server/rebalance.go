@@ -2,7 +2,8 @@ package server
 
 import (
 	"context"
-	"errors"
+	"slices"
+	"sort"
 	"time"
 
 	"netcache/internal/cluster"
@@ -12,12 +13,14 @@ import (
 //
 // When a membership change moves part of the key space, the keys do not
 // teleport: the nodes that hold them stream them to their new replicas in
-// the background, one PUT /v1/result/{key} at a time — the same push the
-// hinted-handoff repair loop uses, safe to issue unconditionally because
-// values are content-addressed and immutable. The walk is rate-limited,
-// checkpointed through the store's persisted cursor (crash mid-rebalance
-// resumes instead of restarting), and aborts as soon as a newer epoch is
-// adopted (the wake-up that follows restarts it against the new ring).
+// the background, a chunk of keys at a time through transfer — the same
+// batched presence check and push that hinted-handoff repair and
+// anti-entropy use, safe to issue unconditionally because values are
+// content-addressed and immutable. The walk is rate-limited, checkpointed
+// through the store's persisted cursor once per cleanly delivered chunk
+// (crash mid-rebalance resumes instead of restarting, and never past a key
+// that failed), and aborts as soon as a newer epoch is adopted (the
+// wake-up that follows restarts it against the new ring).
 //
 // Decommission rides the same path: a node that observes it has left the
 // membership (cluster.Left) is no longer a replica for anything, so the
@@ -47,10 +50,6 @@ type RebalanceStatus struct {
 	Skipped uint64 `json:"skipped"`
 	Errors  uint64 `json:"errors"`
 }
-
-// cursorStride is how many keys the mover walks between cursor writes: a
-// crash re-walks at most this many already-priced keys.
-const cursorStride = 32
 
 // startRebalance launches the background mover: woken by every membership
 // adoption and by a periodic timer (which doubles as the retry schedule
@@ -113,11 +112,13 @@ func (s *Server) RebalanceStatus() RebalanceStatus {
 
 // RebalancePass walks every locally resident key and pushes the ones whose
 // replica set gained members (or lost this node) to the replicas that lack
-// them. It prices every key against one consistent ring snapshot and
-// aborts early when a newer epoch lands mid-walk — the adoption's wake-up
-// restarts it against the new ring. It returns how many keys were pushed
-// and how many the destinations already had. The background mover calls it
-// on every membership change; tests and operators may force a pass.
+// them. It prices every key against one consistent ring snapshot, a
+// transferBatchKeys chunk at a time: each chunk's keys are grouped by
+// destination and moved through transfer. The pass aborts early when a
+// newer epoch lands mid-walk — the adoption's wake-up restarts it against
+// the new ring. It returns how many keys were pushed and how many the
+// destinations already had. The background mover calls it on every
+// membership change; tests and operators may force a pass.
 func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 	st, cl := s.cfg.Store, s.cfg.Cluster
 	if st == nil || cl == nil {
@@ -128,12 +129,12 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 	rf := cl.Replication()
 	self := cl.Self()
 
-	// Resume from the persisted cursor if it matches this epoch; a cursor
+	// Resume after the persisted cursor if it matches this epoch; a cursor
 	// from an older epoch is stale (that walk priced keys against a ring
 	// that no longer routes) and is discarded.
-	after := ""
-	if ce, ca, ok := st.RebalanceCursor(); ok && ce == epoch {
-		after = ca
+	keys := st.Keys()
+	if ce, after, ok := st.RebalanceCursor(); ok && ce == epoch {
+		keys = keys[sort.Search(len(keys), func(i int) bool { return keys[i] > after }):]
 	}
 
 	// A new epoch starts the status from scratch; a re-walk at the same
@@ -153,91 +154,89 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 	if s.cfg.RebalanceRate > 0 {
 		perKeyDelay = time.Second / time.Duration(s.cfg.RebalanceRate)
 	}
+	current := func() bool { return ctx.Err() == nil && cl.Epoch() == epoch }
+	// afterPush holds -rebalance-rate on average — each push sleeps its key
+	// count over the rate — and stops the walk on shutdown or a newer ring.
+	afterPush := func(sent int) bool {
+		if perKeyDelay > 0 {
+			t := time.NewTimer(time.Duration(sent) * perKeyDelay)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+			}
+		}
+		return current()
+	}
 
 	errored := 0
-	sinceCursor := 0
-	for _, key := range st.Keys() {
-		if key <= after {
-			continue
+	for start := 0; start < len(keys); start += transferBatchKeys {
+		if !current() {
+			return moved, skipped // shutdown, or a newer ring whose wake-up restarts us
 		}
-		if ctx.Err() != nil {
-			return moved, skipped // shutdown; cursor persists, next boot resumes
-		}
-		if cl.Epoch() != epoch {
-			return moved, skipped // newer ring adopted; the wake-up restarts us
-		}
-
-		targets := ring.Replicas(key, rf)
-		selfIn := false
-		for _, p := range targets {
-			if p == self {
-				selfIn = true
-			}
-		}
-		// Fast skip: when the previous ring is known and this key's replica
-		// set did not move, there is nothing to stream — the common case,
-		// since consistent hashing remaps only the churned peers' share.
-		if selfIn && prev != nil && prevEpoch < epoch && sameStrings(prev.Replicas(key, rf), targets) {
-			sinceCursor = s.advanceCursor(epoch, key, sinceCursor)
-			continue
-		}
-		for _, peer := range targets {
-			if peer == self {
+		chunk := keys[start:min(start+transferBatchKeys, len(keys))]
+		byPeer := make(map[string][]string)
+		for _, key := range chunk {
+			targets := ring.Replicas(key, rf)
+			// Fast skip: when the previous ring is known and this key's
+			// replica set did not move, there is nothing to stream — the
+			// common case, since consistent hashing remaps only the churned
+			// peers' share.
+			if slices.Contains(targets, self) && prev != nil && prevEpoch < epoch && slices.Equal(prev.Replicas(key, rf), targets) {
 				continue
 			}
-			if !cl.Up(peer) {
-				// Down target: the push would only burn the retry budget.
-				// Count it as an error so this pass is not Done and the
-				// periodic retry (or anti-entropy) finishes the job.
-				errored++
-				continue
-			}
-			// Probe before pushing: the destination may already hold the key
-			// (it was a replica before, or another node pushed it first). A
-			// failed probe falls through to the push — writing a key the
-			// destination already has is wasted bytes, never wrong.
-			if _, found, err := s.peerClient(peer).Lookup(ctx, key); err == nil && found {
-				skipped++
-				s.m.add(&s.m.rebalanceSkipped)
-				continue
-			}
-			body, ok := st.Get(key)
-			if !ok {
-				// Evicted or unreadable mid-walk. Count it as an error: a
-				// draining node must not report Done while a key it failed
-				// to read never reached its new owner (a transient injected
-				// read fault heals on the retry pass).
-				errored++
-				s.m.add(&s.m.rebalanceErrors)
-				break
-			}
-			if err := s.peerClient(peer).PushResult(ctx, key, body); err != nil {
-				errored++
-				s.m.add(&s.m.rebalanceErrors)
-				var se *StatusError
-				if !errors.As(err, &se) && ctx.Err() == nil {
-					cl.MarkDown(peer)
+			for _, peer := range targets {
+				if peer == self {
+					continue
 				}
-				s.cfg.Log.Printf("rebalance: push %s -> %s: %v", key[:8], peer, err)
-				continue
+				if !cl.Up(peer) {
+					// Down target: the push would only burn the retry
+					// budget. Count it as an error so this pass is not Done
+					// and the periodic retry (or anti-entropy) finishes the
+					// job.
+					errored++
+					continue
+				}
+				byPeer[peer] = append(byPeer[peer], key)
 			}
-			moved++
-			s.m.add(&s.m.rebalanceMoved)
-			if perKeyDelay > 0 {
-				select {
-				case <-time.After(perKeyDelay):
-				case <-ctx.Done():
-					return moved, skipped
+		}
+		for _, peer := range sortedKeys(byPeer) {
+			var failed int
+			for _, o := range s.transfer(ctx, "rebalance", peer, byPeer[peer], afterPush) {
+				switch o {
+				case transferStored:
+					moved++
+					s.m.add(&s.m.rebalanceMoved)
+				case transferPresent:
+					skipped++
+					s.m.add(&s.m.rebalanceSkipped)
+				default:
+					// A failed push, or a key evicted or unreadable mid-walk:
+					// a draining node must not report Done while a key it
+					// failed to deliver never reached its new owner (an
+					// injected read fault heals on the retry pass).
+					failed++
 				}
 			}
+			errored += failed
+			s.m.addN(&s.m.rebalanceErrors, failed)
+			if !current() {
+				return moved, skipped
+			}
 		}
-		sinceCursor = s.advanceCursor(epoch, key, sinceCursor)
+		// Checkpoint only a clean prefix: once any key of this pass failed,
+		// the cursor stays put, so a pass interrupted later still resumes at
+		// or before the failure instead of past it.
+		if errored == 0 {
+			st.SetRebalanceCursor(epoch, chunk[len(chunk)-1])
+		}
 	}
 
 	// Full walk completed. With zero errors the walk is done for this
 	// epoch and the cursor is retired; with errors the cursor is cleared
 	// too — the next pass re-walks from the top (cheap: unchanged keys
-	// fast-skip, pushed keys probe-skip) and retries the failures.
+	// fast-skip, delivered keys come back present from the presence check)
+	// and retries the failures.
 	st.ClearRebalanceCursor()
 	s.rebalMu.Lock()
 	if s.rebal.Epoch == epoch {
@@ -251,29 +250,4 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 		s.cfg.Log.Printf("rebalance: epoch %d pass: %d moved, %d already present, %d errors", epoch, moved, skipped, errored)
 	}
 	return moved, skipped
-}
-
-// advanceCursor checkpoints the walk every cursorStride keys.
-func (s *Server) advanceCursor(epoch uint64, key string, since int) int {
-	since++
-	if since >= cursorStride {
-		if err := s.cfg.Store.SetRebalanceCursor(epoch, key); err == nil {
-			return 0
-		}
-	}
-	return since
-}
-
-// sameStrings reports element-wise equality (order-sensitive — replica
-// sets are emitted in ring order, which is deterministic per key).
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -26,8 +26,9 @@
 // simulating, so a local cluster can chain behind a regional one.
 //
 // Endpoints: POST /v1/run, POST /v1/batch, GET /v1/apps, GET /v1/stats
-// (per-tier store occupancy and maintenance counters as JSON), GET/PUT
-// /v1/result/{key} (store-only lookup / handoff push), GET /v1/cluster
+// (per-tier store occupancy and maintenance counters as JSON), GET
+// /v1/result/{key} (store-only lookup), POST /v1/results/missing and POST
+// /v1/results (replica presence check and multi-key push), GET /v1/cluster
 // (ring + peer health + handoff introspection), GET /healthz, GET /metrics
 // (Prometheus text format).
 package server
@@ -237,6 +238,8 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("/v1/batch", s.chaos(s.handleBatch))
 	mux.HandleFunc("/v1/apps", s.chaos(s.handleApps))
 	mux.HandleFunc("/v1/result/", s.chaos(s.handleResult))
+	mux.HandleFunc("/v1/results", s.chaos(s.handlePush))
+	mux.HandleFunc("/v1/results/missing", s.chaos(s.handleMissing))
 	// Like /healthz and /metrics, /v1/stats and the cluster control-plane
 	// endpoints are exempt from chaos injection so fault storms stay
 	// observable and operators can reshape the ring mid-storm.

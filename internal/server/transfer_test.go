@@ -1,0 +1,599 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"netcache/internal/store"
+)
+
+// testKey derives a distinct valid result key from a label.
+func testKey(label string) string {
+	sum := sha256.Sum256([]byte(label))
+	return hex.EncodeToString(sum[:])
+}
+
+// listenN binds n loopback listeners and returns them with their URLs.
+func listenN(t *testing.T, n int) ([]net.Listener, []string) {
+	t.Helper()
+	ls := make([]net.Listener, n)
+	urls := make([]string, n)
+	for i := range ls {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls[i], urls[i] = l, "http://"+l.Addr().String()
+	}
+	return ls, urls
+}
+
+// manualLoops keeps every background loop out of a test that drives the
+// passes by hand.
+func manualLoops(_ int, cfg *Config) {
+	cfg.RepairInterval = 10 * time.Minute
+	cfg.RebalanceInterval = 10 * time.Minute
+	cfg.AntiEntropyInterval = 10 * time.Minute
+}
+
+// TestTransferFrameErrors feeds POST /v1/results and POST
+// /v1/results/missing malformed bodies. Broken framing and capped bodies
+// fail the whole request with nothing stored; a bad entry in a well-framed
+// body fails only itself.
+func TestTransferFrameErrors(t *testing.T) {
+	good := ResultFrame{Key: testKey("good"), Value: []byte(`{"good":1}`)}
+	other := ResultFrame{Key: testKey("other"), Value: []byte(`{"other":2}`)}
+	lengthPastEnd := binary.BigEndian.AppendUint32([]byte(other.Key), 1000)
+	lengthPastEnd = append(lengthPastEnd, `{"x":1}`...)
+	tooMany := make([]ResultFrame, transferBatchKeys+1)
+	for i := range tooMany {
+		tooMany[i] = ResultFrame{Key: testKey(fmt.Sprint("many", i)), Value: []byte(`{}`)}
+	}
+	manyKeys := make([]string, transferBatchKeys+1)
+	for i := range manyKeys {
+		manyKeys[i] = tooMany[i].Key
+	}
+
+	cases := []struct {
+		name     string
+		path     string
+		body     []byte
+		declared int64 // Content-Length to claim; 0 means the body's own
+		code     int
+		outcomes []int    // per-entry statuses of a 200 push
+		stored   []string // keys that must be stored afterwards
+		missing  []string // a 200 presence check's answer
+	}{
+		{name: "truncated header", path: "/v1/results",
+			body: append(encodeFrames([]ResultFrame{good}), other.Key[:10]...), code: http.StatusBadRequest},
+		{name: "key not hex", path: "/v1/results",
+			body: encodeFrames([]ResultFrame{good, {Key: strings.Repeat("z", 64), Value: []byte(`{}`)}, other}),
+			code: http.StatusOK, outcomes: []int{200, 400, 200}, stored: []string{good.Key, other.Key}},
+		{name: "length past end", path: "/v1/results",
+			body: append(encodeFrames([]ResultFrame{good}), lengthPastEnd...), code: http.StatusBadRequest},
+		{name: "entry not JSON", path: "/v1/results",
+			body: encodeFrames([]ResultFrame{good, {Key: other.Key, Value: []byte(`{"other":`)}}),
+			code: http.StatusOK, outcomes: []int{200, 400}, stored: []string{good.Key}},
+		{name: "key count over cap", path: "/v1/results",
+			body: encodeFrames(tooMany), code: http.StatusRequestEntityTooLarge},
+		{name: "body over cap", path: "/v1/results",
+			body: encodeFrames([]ResultFrame{good}), declared: maxPushBytes + 1, code: http.StatusRequestEntityTooLarge},
+		{name: "empty push", path: "/v1/results", code: http.StatusOK, outcomes: []int{}},
+		{name: "check: bad key", path: "/v1/results/missing",
+			body: []byte(`{"keys":["` + good.Key + `","nothex"]}`), code: http.StatusBadRequest},
+		{name: "check: not JSON", path: "/v1/results/missing",
+			body: []byte(`{"keys":[`), code: http.StatusBadRequest},
+		{name: "check: key count over cap", path: "/v1/results/missing",
+			body: mustJSON(t, MissingRequest{Keys: manyKeys}), code: http.StatusRequestEntityTooLarge},
+		{name: "check: body over cap", path: "/v1/results/missing",
+			body: []byte(`{"keys":[]}`), declared: maxMissingBytes + 1, code: http.StatusRequestEntityTooLarge},
+		{name: "check", path: "/v1/results/missing",
+			body: mustJSON(t, MissingRequest{Keys: []string{good.Key, other.Key}}), code: http.StatusOK, missing: []string{good.Key, other.Key}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := store.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			srv := New(Config{Store: st, Workers: 1})
+			req := httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(tc.body))
+			if tc.declared > 0 {
+				req.ContentLength = tc.declared
+			}
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req)
+			if rec.Code != tc.code {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.code, rec.Body)
+			}
+			if tc.outcomes != nil {
+				var resp PushResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]int, len(resp.Results))
+				for i, o := range resp.Results {
+					got[i] = o.Status
+				}
+				if fmt.Sprint(got) != fmt.Sprint(tc.outcomes) {
+					t.Fatalf("outcomes %v, want %v", got, tc.outcomes)
+				}
+			}
+			if tc.missing != nil {
+				var resp MissingResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(resp.Missing) != fmt.Sprint(tc.missing) {
+					t.Fatalf("missing %v, want %v", resp.Missing, tc.missing)
+				}
+			}
+			if keys := st.Keys(); fmt.Sprint(keys) != fmt.Sprint(sorted(tc.stored)) {
+				t.Fatalf("stored %v, want %v", keys, sorted(tc.stored))
+			}
+		})
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func sorted(keys []string) []string {
+	out := append([]string{}, keys...)
+	sort.Strings(out)
+	return out
+}
+
+// TestTransferEndpointGates checks the request gates: a degraded store
+// refuses pushes with 503, the presence check and push take POST only, and
+// /v1/result/{key} takes GET only.
+func TestTransferEndpointGates(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := New(Config{Store: st, Workers: 1, DegradedProbe: time.Hour})
+	f := ResultFrame{Key: testKey("gate"), Value: []byte(`{"gate":1}`)}
+	do := func(method, path string, body []byte) int {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec.Code
+	}
+	if code := do(http.MethodGet, "/v1/results", nil); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/results = %d, want 405", code)
+	}
+	if code := do(http.MethodGet, "/v1/results/missing", nil); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/results/missing = %d, want 405", code)
+	}
+	if code := do(http.MethodPut, "/v1/result/"+f.Key, f.Value); code != http.StatusMethodNotAllowed {
+		t.Errorf("PUT /v1/result/{key} = %d, want 405", code)
+	}
+	for i := 0; i < srv.cfg.DegradedAfter; i++ {
+		srv.putFailed(f.Key, errors.New("injected"))
+	}
+	if code := do(http.MethodPost, "/v1/results", encodeFrames([]ResultFrame{f})); code != http.StatusServiceUnavailable {
+		t.Errorf("push while degraded = %d, want 503", code)
+	}
+	if _, ok := st.Get(f.Key); ok {
+		t.Error("a degraded store accepted a push")
+	}
+}
+
+// TestReadCapped covers the body cap on declared and undeclared lengths.
+func TestReadCapped(t *testing.T) {
+	for _, tc := range []struct {
+		body     string
+		declared int64
+		err      error
+	}{
+		{"12345", 5, nil},
+		{"12345", -1, nil},
+		{"123456", -1, errBodyTooLarge},
+		{"1", 6, errBodyTooLarge},
+		{"", 0, nil},
+	} {
+		got, err := readCapped(strings.NewReader(tc.body), tc.declared, 5)
+		if !errors.Is(err, tc.err) || (err == nil && string(got) != tc.body) {
+			t.Errorf("readCapped(%q, %d) = %q, %v; want %v", tc.body, tc.declared, got, err, tc.err)
+		}
+	}
+}
+
+// FuzzTransferFrames: decoding never panics, whatever decodes re-encodes to
+// the same body, and encoding then decoding returns the same keys and
+// bytes.
+func FuzzTransferFrames(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte("short"), uint8(3))
+	f.Add(encodeFrames([]ResultFrame{{Key: testKey("seed"), Value: []byte(`{"a": "<b>&</b>"}`)}}), uint8(1))
+	f.Fuzz(func(t *testing.T, body []byte, parts uint8) {
+		if frames, err := decodeFrames(body, transferBatchKeys); err == nil && !bytes.Equal(encodeFrames(frames), body) {
+			t.Fatalf("decoded %d frames that re-encode differently", len(frames))
+		}
+		want := make([]ResultFrame, int(parts)%8+1)
+		for i := range want {
+			lo, hi := len(body)*i/len(want), len(body)*(i+1)/len(want)
+			want[i] = ResultFrame{Key: testKey(fmt.Sprint(i)), Value: body[lo:hi]}
+		}
+		got, err := decodeFrames(encodeFrames(want), transferBatchKeys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d frames back, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Key != want[i].Key || !bytes.Equal(got[i].Value, want[i].Value) {
+				t.Fatalf("frame %d changed in the round trip", i)
+			}
+		}
+	})
+}
+
+// TestPushStoresBytesVerbatim pushes a value that a JSON re-encode would
+// change (whitespace, HTML characters) and checks the stored bytes are the
+// pushed ones, and that the presence check then reports the key present.
+func TestPushStoresBytesVerbatim(t *testing.T) {
+	ctx := context.Background()
+	nodes := startCluster(t, 1, 1, manualLoops)
+	f := ResultFrame{Key: testKey("verbatim"), Value: []byte("{ \"html\": \"<a href='x'>&amp;</a>\",\n  \"n\": 1.50 }")}
+	out, err := nodes[0].c.PushResults(ctx, []ResultFrame{f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0].Status != http.StatusOK {
+		t.Fatalf("push outcomes %+v", out)
+	}
+	if got, ok := nodes[0].st.Get(f.Key); !ok || !bytes.Equal(got, f.Value) {
+		t.Fatalf("stored %q, want %q", got, f.Value)
+	}
+	absent := testKey("absent")
+	missing, err := nodes[0].c.MissingResults(ctx, []string{f.Key, absent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) != 1 || missing[0] != absent {
+		t.Fatalf("missing = %v, want just %s", missing, absent[:8])
+	}
+}
+
+// TestTransferBatchesByBudget drives transfer directly: pushes close at the
+// byte budget, an entry larger than the budget travels alone, a second
+// transfer of the same keys finds them all present and pushes nothing, and
+// a key with no local copy comes back gone.
+func TestTransferBatchesByBudget(t *testing.T) {
+	ctx := context.Background()
+	nodes := startCluster(t, 2, 1, manualLoops)
+	a, b := nodes[0], nodes[1]
+	big := []byte(`"` + strings.Repeat("x", transferBatchBytes) + `"`)
+	keys := []string{testKey("small-1"), testKey("small-2"), testKey("big"), testKey("small-3"), testKey("absent")}
+	for i, key := range keys[:4] {
+		v := []byte(fmt.Sprintf(`{"small":%d}`, i))
+		if i == 2 {
+			v = big
+		}
+		if err := a.st.Put(key, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sent []int
+	record := func(n int) bool { sent = append(sent, n); return true }
+
+	out := a.srv.transfer(ctx, "test", b.url, keys, record)
+	want := []transferOutcome{transferStored, transferStored, transferStored, transferStored, transferGone}
+	if fmt.Sprint(out) != fmt.Sprint(want) || fmt.Sprint(sent) != "[2 1 1]" {
+		t.Fatalf("first transfer: outcomes %v, pushes of %v keys; want %v and [2 1 1]", out, sent, want)
+	}
+	if got, ok := b.st.Get(keys[2]); !ok || !bytes.Equal(got, big) {
+		t.Fatal("oversize entry not stored byte for byte")
+	}
+
+	sent = nil
+	out = a.srv.transfer(ctx, "test", b.url, keys[:4], record)
+	if fmt.Sprint(out) != fmt.Sprint([]transferOutcome{transferPresent, transferPresent, transferPresent, transferPresent}) || len(sent) != 0 {
+		t.Fatalf("second transfer: outcomes %v, pushes %v; want all present, no push", out, sent)
+	}
+}
+
+// TestRepairHandoffsBatched: hinted-handoff repair drops a hint only once
+// its key is settled — stored at the owner, already present there, or gone
+// locally — and keeps the hint of an entry the owner refused.
+func TestRepairHandoffsBatched(t *testing.T) {
+	ctx := context.Background()
+	nodes := startCluster(t, 2, 1, manualLoops)
+	a, b := nodes[0], nodes[1]
+	waitFor(t, "peers to probe up", func() bool { return a.cl.Up(b.url) })
+
+	var ownedByB []string
+	for i := 0; len(ownedByB) < 10; i++ {
+		if key := testKey(fmt.Sprint("hint-", i)); a.cl.Owner(key) == b.url {
+			ownedByB = append(ownedByB, key)
+		}
+	}
+	val := func(key string) []byte { return []byte(`{"hint":"` + key[:8] + `"}`) }
+	toPush, present, gone, refused := ownedByB[:5], ownedByB[5:8], ownedByB[8], ownedByB[9]
+	for _, key := range ownedByB {
+		switch {
+		case key == gone:
+		case key == refused:
+			if err := a.st.Put(key, []byte("not json")); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if err := a.st.Put(key, val(key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.st.HandoffAdd(key, b.url); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range present {
+		if err := b.st.Put(key, val(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if pushed := a.srv.RepairHandoffs(ctx); pushed != len(toPush) {
+		t.Fatalf("pushed %d hints, want %d", pushed, len(toPush))
+	}
+	for _, key := range append(append([]string{}, toPush...), present...) {
+		if got, ok := b.st.Get(key); !ok || !bytes.Equal(got, val(key)) {
+			t.Fatalf("key %s not on its owner after repair", key[:8])
+		}
+	}
+	pending := a.st.HandoffPending()
+	if len(pending) != 1 || pending[0].Key != refused {
+		t.Fatalf("pending hints %+v, want only the refused %s", pending, refused[:8])
+	}
+	text, err := a.c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := metricValue(t, text, "netcached_cluster_handoff_pushed_total"); v != int64(len(toPush)) {
+		t.Errorf("handoff_pushed_total = %d, want %d", v, len(toPush))
+	}
+	if v := metricValue(t, text, "netcached_cluster_handoff_reaped_total"); v != int64(len(present)) {
+		t.Errorf("handoff_reaped_total = %d, want %d", v, len(present))
+	}
+}
+
+// poisonFS fails every write of one value while armed and cancels a
+// context once `after` further writes have succeeded — a push that fails
+// for one key, then a shutdown some keys later.
+type poisonFS struct {
+	store.FS
+	mu     sync.Mutex
+	value  []byte
+	after  int
+	cancel context.CancelFunc
+	fired  bool
+	since  int
+}
+
+func (f *poisonFS) WriteTemp(dir string, data []byte) (string, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.value != nil && bytes.HasSuffix(data, f.value) {
+		f.fired = true
+		return "", &os.PathError{Op: "write", Path: dir, Err: store.ErrInjected}
+	}
+	if f.fired && f.cancel != nil {
+		if f.since++; f.since == f.after {
+			f.cancel()
+		}
+	}
+	return f.FS.WriteTemp(dir, data)
+}
+
+// disarm stops the injection and reports whether the poison fired and
+// the cancellation happened.
+func (f *poisonFS) disarm() (fired, cancelled bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fired, cancelled = f.fired, f.since >= f.after
+	f.value, f.cancel = nil, nil
+	return fired, cancelled
+}
+
+// TestRebalanceCursorStopsAtFailure: a pass interrupted after a failed
+// push must resume at or before the failed key. The destination refuses
+// one key while the first pass runs, and the pass is cancelled 40 stores
+// later, as a shutdown would. The resumed pass may report Done only with
+// that key on its owner.
+func TestRebalanceCursorStopsAtFailure(t *testing.T) {
+	ls, urls := listenN(t, 2)
+	fsys := &poisonFS{FS: store.NewFaultFS(nil), after: 40}
+	mutate := func(i int, cfg *Config) {
+		manualLoops(i, cfg)
+		cfg.DegradedAfter = 1 << 20 // the injected failures must not trip degraded mode
+	}
+	src := bootClusterNode(t, urls, 0, t.TempDir(), nil, ls[0], 1, mutate)
+	dst := bootClusterNode(t, urls, 1, t.TempDir(), fsys, ls[1], 1, mutate)
+	waitFor(t, "peers to probe up", func() bool { return src.cl.Up(dst.url) })
+
+	val := func(i int) []byte { return []byte(fmt.Sprintf(`{"entry":%d}`, i)) }
+	vals := make(map[string][]byte)
+	var all, owned []string
+	for i := 0; len(owned) < 300; i++ {
+		key := testKey(fmt.Sprint("cursor-", i))
+		if err := src.st.Put(key, val(i)); err != nil {
+			t.Fatal(err)
+		}
+		vals[key] = val(i)
+		all = append(all, key)
+		if src.cl.Owner(key) == dst.url {
+			owned = append(owned, key)
+		}
+	}
+	sort.Strings(all)
+	// Poison the first destination-owned key of the second walk chunk, so
+	// the first chunk is delivered cleanly before the failure.
+	var poison string
+	for _, key := range all[transferBatchKeys:] {
+		if src.cl.Owner(key) == dst.url {
+			poison = key
+			break
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fsys.mu.Lock()
+	fsys.value, fsys.cancel = vals[poison], cancel
+	fsys.mu.Unlock()
+
+	src.srv.RebalancePass(ctx)
+	if fired, cancelled := fsys.disarm(); !fired || !cancelled {
+		t.Fatalf("scenario did not happen: poison fired %v, pass cancelled %v", fired, cancelled)
+	}
+	if rs := src.srv.RebalanceStatus(); rs.Done {
+		t.Fatalf("interrupted pass reported Done: %+v", rs)
+	}
+	if _, after, ok := src.st.RebalanceCursor(); ok && after >= poison {
+		t.Fatalf("cursor %s moved past the failed key %s", after[:8], poison[:8])
+	}
+
+	src.srv.RebalancePass(context.Background())
+	rs := src.srv.RebalanceStatus()
+	if !rs.Done || rs.Errors != 0 {
+		t.Fatalf("resumed pass = %+v, want Done with no errors", rs)
+	}
+	for _, key := range owned {
+		if got, ok := dst.st.Get(key); !ok || !bytes.Equal(got, vals[key]) {
+			t.Fatalf("resumed pass reported %+v while key %s (poisoned: %v) is missing on its owner", rs, key[:8], key == poison)
+		}
+	}
+}
+
+// TestRebalanceLeavesLRU: background transfers read without touching the
+// LRU. A pass over a source whose entries sit in the cold tier promotes
+// none of them, a hot source entry keeps its mtime, and the destination's
+// presence check promotes none of the cold entries it already holds.
+func TestRebalanceLeavesLRU(t *testing.T) {
+	nodes := startCluster(t, 2, 2, manualLoops)
+	src, dst := nodes[0], nodes[1]
+	waitFor(t, "peers to probe up", func() bool { return src.cl.Up(dst.url) })
+
+	old := time.Now().Add(-2 * time.Hour) // past the default 1h cold age
+	age := func(n *cnode, key string, when time.Time) {
+		if err := os.Chtimes(filepath.Join(n.dir, key+".res"), when, when); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const entries = 100
+	for i := 0; i < entries; i++ {
+		key := testKey(fmt.Sprint("lru-", i))
+		v := []byte(fmt.Sprintf(`{"lru":%d}`, i))
+		if err := src.st.Put(key, v); err != nil {
+			t.Fatal(err)
+		}
+		age(src, key, old)
+		if i%2 == 0 {
+			if err := dst.st.Put(key, v); err != nil {
+				t.Fatal(err)
+			}
+			age(dst, key, old)
+		}
+	}
+	src.st.Compact()
+	dst.st.Compact()
+	hot := testKey("lru-hot")
+	if err := src.st.Put(hot, []byte(`{"lru":"hot"}`)); err != nil {
+		t.Fatal(err)
+	}
+	warm := time.Now().Add(-30 * time.Minute).Truncate(time.Second)
+	age(src, hot, warm)
+	srcBefore, dstBefore := src.st.Stats(), dst.st.Stats()
+	if srcBefore.ColdEntries != entries || dstBefore.ColdEntries != entries/2 {
+		t.Fatalf("cold entries %d and %d before the pass, want %d and %d", srcBefore.ColdEntries, dstBefore.ColdEntries, entries, entries/2)
+	}
+
+	moved, skipped := src.srv.RebalancePass(context.Background())
+	if moved != entries/2+1 || skipped != entries/2 {
+		t.Fatalf("pass moved %d and skipped %d, want %d and %d", moved, skipped, entries/2+1, entries/2)
+	}
+	srcAfter, dstAfter := src.st.Stats(), dst.st.Stats()
+	if srcAfter.Promotions != srcBefore.Promotions || srcAfter.ColdEntries != srcBefore.ColdEntries {
+		t.Errorf("source: promotions %d -> %d, cold entries %d -> %d", srcBefore.Promotions, srcAfter.Promotions, srcBefore.ColdEntries, srcAfter.ColdEntries)
+	}
+	if dstAfter.Promotions != dstBefore.Promotions || dstAfter.ColdEntries != dstBefore.ColdEntries {
+		t.Errorf("destination: promotions %d -> %d, cold entries %d -> %d", dstBefore.Promotions, dstAfter.Promotions, dstBefore.ColdEntries, dstAfter.ColdEntries)
+	}
+	info, err := os.Stat(filepath.Join(src.dir, hot+".res"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.ModTime().Equal(warm) {
+		t.Errorf("hot entry mtime %v -> %v: the pass refreshed the LRU clock", warm, info.ModTime())
+	}
+}
+
+// TestRebalanceRateHoldsOnAverage: with -rebalance-rate set, each push is
+// followed by its key count over the rate, so a pass cannot beat the cap,
+// and a shutdown during that sleep ends the pass at once.
+func TestRebalanceRateHoldsOnAverage(t *testing.T) {
+	const keys, rate = 60, 300 // one push, then a 200 ms sleep
+	capped := time.Second * keys / rate
+	nodes := startCluster(t, 2, 1, func(i int, cfg *Config) {
+		manualLoops(i, cfg)
+		cfg.RebalanceRate = rate
+	})
+	src, dst := nodes[0], nodes[1]
+	waitFor(t, "peers to probe up", func() bool { return src.cl.Up(dst.url) })
+	next := 0
+	seed := func() { // adds keys entries that dst owns to src
+		for n := 0; n < keys; next++ {
+			key := testKey(fmt.Sprint("rate-", next))
+			if src.cl.Owner(key) != dst.url {
+				continue
+			}
+			if err := src.st.Put(key, []byte(fmt.Sprintf(`{"rate":%d}`, next))); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+	}
+
+	seed()
+	start := time.Now()
+	moved, _ := src.srv.RebalancePass(context.Background())
+	if d := time.Since(start); moved != keys || d < capped {
+		t.Fatalf("pass moved %d keys in %v; want %d in no less than %v", moved, d, keys, capped)
+	}
+	if rs := src.srv.RebalanceStatus(); !rs.Done {
+		t.Fatalf("rate-limited pass not Done: %+v", rs)
+	}
+
+	seed()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start = time.Now()
+	src.srv.RebalancePass(ctx)
+	if d := time.Since(start); d >= capped {
+		t.Fatalf("cancelled pass took %v; the rate sleep ignored the shutdown", d)
+	}
+}

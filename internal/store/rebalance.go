@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Rebalance support: key enumeration and a persisted cursor.
@@ -12,10 +13,11 @@ import (
 // When the cluster ring changes, the server's rebalance mover walks every
 // locally resident key and pushes the ones whose replica set moved to their
 // new owners. The walk is resumable: the mover checkpoints (epoch, last key
-// pushed) here, so a crash mid-rebalance restarts from the cursor instead
-// of from the top. Like handoff hints, the cursor is advisory metadata —
-// losing it costs a re-walk (skips are cheap: the destination is probed
-// with a store-only lookup first), never a wrong answer.
+// of the last walk chunk it delivered without error) here, so a crash
+// mid-rebalance restarts from the cursor instead of from the top. Like
+// handoff hints, the cursor is advisory metadata — losing it costs a
+// re-walk (skips are cheap: one key-list presence check per batch tells
+// the mover what the destination already holds), never a wrong answer.
 //
 // The cursor lives in the rebalance/ subdirectory, which — like handoff/
 // and quarantine/ — is invisible to the tier scans, so it is never counted
@@ -27,7 +29,7 @@ const rebalanceDir = "rebalance"
 // rebalanceCursor is the persisted checkpoint format.
 type rebalanceCursor struct {
 	Epoch uint64 `json:"epoch"`
-	After string `json:"after"` // last key fully processed, "" = none yet
+	After string `json:"after"` // last key delivered, "" = none yet
 }
 
 func (s *Store) rebalanceCursorPath() string {
@@ -35,31 +37,38 @@ func (s *Store) rebalanceCursorPath() string {
 }
 
 // Keys lists every key resident in either tier, sorted ascending. Keys in
-// both tiers (promotion races) appear once. The listing is a snapshot:
-// concurrent puts and evictions may or may not be reflected — acceptable
-// for the rebalance walk, which the anti-entropy sweep backstops.
+// both tiers (promotion races) appear once. Hot keys come from directory
+// entry names alone — no per-file stat — so listing a large store costs one
+// directory read. The listing is a snapshot: concurrent puts and evictions
+// may or may not be reflected — acceptable for the rebalance walk, which
+// the anti-entropy sweep backstops.
 func (s *Store) Keys() []string {
-	seen := make(map[string]bool)
-	for _, e := range s.hot.scanLRU() {
-		seen[e.key] = true
+	// Sorted by name, so hot keys arrive sorted. A failed read lists what
+	// it got; the next walk lists again.
+	ents, _ := os.ReadDir(s.dir)
+	out := make([]string, 0, len(ents))
+	for _, e := range ents {
+		if key, ok := strings.CutSuffix(e.Name(), suffix); ok && !e.IsDir() && validKey(key) {
+			out = append(out, key)
+		}
 	}
+	hot := len(out)
 	s.cold.mu.Lock()
 	for key := range s.cold.index {
-		seen[key] = true
-	}
-	s.cold.mu.Unlock()
-	out := make([]string, 0, len(seen))
-	for key := range seen {
 		out = append(out, key)
 	}
-	sort.Strings(out)
+	s.cold.mu.Unlock()
+	if len(out) > hot {
+		slices.Sort(out)
+		out = slices.Compact(out)
+	}
 	return out
 }
 
-// SetRebalanceCursor checkpoints the rebalance walk: every key <= after has
-// been priced against the ring at epoch. Written directly (not
-// temp+rename): a torn cursor fails to parse and reads as "no cursor",
-// which just restarts the walk.
+// SetRebalanceCursor checkpoints the rebalance walk: every key <= after is
+// present on each of its replicas in the ring at epoch. Written directly
+// (not temp+rename): a torn cursor fails to parse and reads as "no
+// cursor", which just restarts the walk.
 func (s *Store) SetRebalanceCursor(epoch uint64, after string) error {
 	dir := filepath.Join(s.dir, rebalanceDir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {

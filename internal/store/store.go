@@ -253,12 +253,22 @@ func validKey(key string) bool {
 // checksum, or index mismatch — is a miss: the caller recomputes and Puts,
 // and corrupt bytes are dropped or dead-marked so they cannot shadow the
 // rewrite.
-func (s *Store) Get(key string) ([]byte, bool) {
+func (s *Store) Get(key string) ([]byte, bool) { return s.read(key, true) }
+
+// Peek is Get for background readers — rebalance, hinted-handoff repair,
+// anti-entropy and the peer presence check. It verifies the checksum and
+// drops corrupt entries exactly like Get, but neither refreshes a hot
+// entry's mtime (the LRU clock) nor promotes a cold hit: copying a key to
+// a replica is not a sign that anyone reads it.
+func (s *Store) Peek(key string) ([]byte, bool) { return s.read(key, false) }
+
+// read is Get (serve set) and Peek (serve clear).
+func (s *Store) read(key string, serve bool) ([]byte, bool) {
 	if !validKey(key) {
 		s.miss(false)
 		return nil, false
 	}
-	v, herr := s.hot.get(key, true)
+	v, herr := s.hot.get(key, serve)
 	if herr == nil {
 		s.mu.Lock()
 		s.st.Hits++
@@ -272,7 +282,9 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.st.Hits++
 		s.st.ColdHits++
 		s.mu.Unlock()
-		s.promote(key, v)
+		if serve {
+			s.promote(key, v)
+		}
 		return v, true
 	}
 	s.miss(errors.Is(herr, ErrCorrupt) || errors.Is(cerr, ErrCorrupt))

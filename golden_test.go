@@ -4,7 +4,7 @@ package netcache_test
 // system must produce a byte-identical canonical Result across engine
 // changes. The committed testdata hashes were produced by the pre-optimization
 // scheduler; any hot-path work in internal/sim (event arena, runnable-min
-// structure, inline service fast path) must reproduce them exactly before its
+// structure, baton handoff) must reproduce them exactly before its
 // results table can be trusted.
 //
 // Regenerate (only when a change is *supposed* to alter simulated timelines,

@@ -347,9 +347,9 @@ const (
 // doubles as the cancellation poll.
 const warmYieldEvery = 16
 
-// A yield costs two goroutine switches (processor → engine → next
-// processor), which dominates functional-mode wall clock: the state-only
-// reference service is far cheaper than the switch. Deep inside a
+// A yield usually passes the baton to another processor, a goroutine switch
+// that dominates functional-mode wall clock: the state-only reference
+// service is far cheaper than the switch. Deep inside a
 // functional stretch the fine interleaving buys nothing durable — the ring
 // replacement state it maintains is overwritten many times before the next
 // measured interval — so rotation drops to warmYieldCoarse there and
@@ -518,8 +518,8 @@ func (s *sampler) step(p *sim.Proc, nd *Node) refMode {
 
 // yieldPoint rotates processors and polls cancellation during engine-free
 // stretches, then arms the fast-path threshold for the next candidate. On a
-// failed run the Invoke hands control to the engine, which unwinds every
-// processor via poison; the no-op service never executes. Deep inside a
+// failed run the Invoke unwinds this processor and the engine then unwinds
+// the rest via poison; the no-op service never executes. Deep inside a
 // functional stretch it launches a parallel round instead of yielding.
 func (s *sampler) yieldPoint(r uint64, p *sim.Proc, nd *Node) {
 	stride := uint64(warmYieldEvery)
@@ -615,7 +615,7 @@ func (s *sampler) roundPause(p *sim.Proc) {
 // and scratch counters merged in strict node-ID order, making the final state
 // a pure function of the round composition, independent of the worker count
 // and of the actual interleaving. Runs in the leader's app context; the
-// engine stays parked on the leader's yield channel throughout.
+// leader holds the baton throughout, so no scheduler runs meanwhile.
 func (s *sampler) collectRound(p *sim.Proc) {
 	members := s.detached
 	slots := s.workers

@@ -29,7 +29,8 @@ func BenchmarkFigure5(b *testing.B) {
 // application on all four 16-node systems) serially. Relative to Figure 5 it
 // weighs the coherence-heavy systems more (DMON-I directory traffic,
 // LambdaNet update storms), so it tracks the memory-system layer rather than
-// raw scheduling.
+// raw scheduling. CI runs it with the engine micro-benchmarks against
+// BENCH_engine.json, so a handoff regression shows up end to end too.
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(exp.Options{Scale: 0.12, Workers: 1})

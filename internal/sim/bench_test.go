@@ -51,7 +51,8 @@ func BenchmarkScheduleFireDepth64(b *testing.B) {
 // BenchmarkInvokeRoundTrip measures one processor service round trip: the
 // app yields, the service runs in engine context and resumes the processor,
 // and app code continues. On a single-processor engine with no pending
-// events the inline fast path applies; it must run at 0 allocs/op.
+// events the scheduler always selects the invoking processor again, so no
+// goroutine switch happens; it must run at 0 allocs/op.
 func BenchmarkInvokeRoundTrip(b *testing.B) {
 	e := NewEngine(1)
 	if _, err := e.Run(func(p *Proc) {
@@ -66,9 +67,32 @@ func BenchmarkInvokeRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkInvokeAfterEvent is BenchmarkInvokeRoundTrip with an event in
+// between: the service schedules an event at the processor's resume time, so
+// each op fires that event (events first on ties) and then resumes the same
+// processor, which keeps the baton throughout.
+func BenchmarkInvokeAfterEvent(b *testing.B) {
+	e := NewEngine(1)
+	fn := func() {}
+	if _, err := e.Run(func(p *Proc) {
+		svc := func() {
+			e.Schedule(p.Clock()+1, fn)
+			p.ResumeAt(p.Clock() + 1)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Invoke(svc)
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkInvokeContended is BenchmarkInvokeRoundTrip with four processors
 // advancing in lockstep, so services from different processors interleave
-// and the engine must arbitrate (the slow path for most invocations).
+// and nearly every Invoke passes the baton to another processor's goroutine
+// (one goroutine switch).
 func BenchmarkInvokeContended(b *testing.B) {
 	e := NewEngine(4)
 	b.ReportAllocs()

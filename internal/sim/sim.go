@@ -8,35 +8,37 @@
 //     scheduling and firing are allocation-free in steady state.
 //   - Processors: goroutines executing real application code. Each processor
 //     has a local clock that advances as the application "computes"; whenever
-//     the application touches the simulated memory system or synchronizes, the
-//     processor yields to the engine and a service closure runs on its behalf
-//     in exclusive engine context.
+//     the application touches the simulated memory system or synchronizes, it
+//     calls Invoke and a service closure runs on its behalf in exclusive
+//     engine context.
 //
-// At any instant exactly one goroutine is runnable (either the engine or one
-// processor), and all handoffs go through unbuffered channels, so runs are
-// race-free and bit-deterministic: the engine always picks the action with
-// the smallest timestamp, breaking ties by (events first, then lowest
-// processor ID).
+// There is no engine goroutine. Control is a baton that exactly one goroutine
+// holds at any instant — Run's, or one processor's — and the holder runs the
+// scheduler itself: it fires events and services in global order (smallest
+// timestamp first, ties broken by events first, then lowest processor ID)
+// until some processor must resume. If that is the holder, it simply carries
+// on; otherwise it sends the baton on the selected processor's unbuffered
+// resume channel and parks on its own. Each send is the happens-before edge
+// that hands over all engine state, so runs are race-free and
+// bit-deterministic, and a yield costs at most one goroutine switch.
 //
 // Two structures keep the pick cheap: the event heap exposes the earliest
 // event in O(1), and runnable processors sit in an indexed min-heap keyed by
-// (clock, ID), updated incrementally as they change state. When the invoking
-// processor is itself the unique earliest actor, Proc.Invoke runs its service
-// inline on the processor goroutine — the engine is parked waiting on that
-// processor's yield, so engine exclusivity still holds — and skips the
-// two-channel handoff entirely. See DESIGN.md, "Engine internals".
+// (clock, ID), updated incrementally as they change state. See DESIGN.md,
+// "Engine internals".
 package sim
 
 import "fmt"
 
 // interruptEvery is how many scheduler actions pass between Interrupt polls.
-// Actions are counted across the engine loop and the inline service fast
-// path, so polling is off the per-event hot path often enough to stay cheap
+// Actions are counted by the scheduler on whichever goroutine holds the
+// baton, so polling is off the per-event hot path often enough to stay cheap
 // while still bounding abort latency to a few thousand events.
 const interruptEvery = 1024
 
-// abortSignal is panicked through app code to unwind a poisoned processor
-// goroutine during an engine abort. It never escapes the package.
+// abortSignal is panicked through app code to unwind a processor goroutine
+// during an abort: the holder that finds the run failed, or a processor Run
+// poisons while draining. It never escapes the package.
 type abortSignal struct{}
 
 // Time is a simulation timestamp in processor cycles (pcycles).
@@ -56,13 +58,13 @@ type event struct {
 	a0, a1 int64
 }
 
-// procState tracks where a processor is in the engine handoff protocol.
+// procState tracks where a processor is in the baton handoff protocol.
 type procState int
 
 const (
 	procIdle    procState = iota // not yet started
-	procRunning                  // executing app code; engine is waiting on its yield
-	procService                  // yielded with a pending service closure
+	procRunning                  // holds the baton, executing app code
+	procService                  // queued with a pending service closure
 	procResume                   // service finished; waiting to be resumed at clock
 	procBlocked                  // waiting for an external WakeAt
 	procDone                     // app function returned
@@ -76,25 +78,12 @@ type Proc struct {
 	state procState
 	qi    int32 // index in the engine's runnable heap; -1 when absent
 
-	svc      func() // pending service, run in engine context at clock
-	resume   chan struct{}
-	yield    chan yieldKind
-	poisoned bool // set by the engine before resuming a proc it is aborting
+	svc      func()        // pending service, run in engine context at clock
+	resume   chan struct{} // receives the baton
+	poisoned bool          // set by Run before handing the baton to a proc it is aborting
 
 	yieldFn func() // cached Yield service closure
 }
-
-type yieldKind int
-
-const (
-	yieldService yieldKind = iota
-	// yieldInline hands control back after an inline-path service already
-	// ran on the processor goroutine: the proc's state and runnable-heap
-	// membership are already current, the engine only needs to resume its
-	// scheduling loop.
-	yieldInline
-	yieldDone
-)
 
 // Engine drives the simulation.
 type Engine struct {
@@ -121,12 +110,18 @@ type Engine struct {
 
 	procs  []*Proc
 	live   int
+	finish Time // latest completion clock of a finished processor
 	failed error
+
+	// done returns the baton to Run once every processor has finished or
+	// the run has failed. Its one-slot buffer lets Run pass the baton to
+	// itself when the run is over before any processor starts.
+	done chan struct{}
 }
 
 // NewEngine creates an engine with n processor contexts.
 func NewEngine(n int) *Engine {
-	e := &Engine{}
+	e := &Engine{done: make(chan struct{}, 1)}
 	e.procs = make([]*Proc, n)
 	for i := range e.procs {
 		e.procs[i] = &Proc{
@@ -134,7 +129,6 @@ func NewEngine(n int) *Engine {
 			eng:    e,
 			qi:     -1,
 			resume: make(chan struct{}),
-			yield:  make(chan yieldKind),
 		}
 	}
 	return e
@@ -172,9 +166,9 @@ func (e *Engine) SumClock() Time {
 }
 
 // CheckCancel polls the Interrupt hook immediately (no action batching) and
-// reports whether the run has failed. Safe to call from app code under engine
-// exclusivity; long functional-warmup stretches poll it so cancellation does
-// not wait for the next engine handoff.
+// reports whether the run has failed. Safe to call from app code that holds
+// the baton; long functional-warmup stretches poll it so cancellation does
+// not wait for the next scheduler pass.
 func (e *Engine) CheckCancel() bool {
 	if e.failed == nil && e.Interrupt != nil {
 		if err := e.Interrupt(); err != nil {
@@ -380,23 +374,6 @@ func (e *Engine) runqRemove(p *Proc) {
 	}
 }
 
-// isNext reports whether running processor p is the unique earliest actor:
-// no pending event at or before its clock (events fire first on ties) and no
-// runnable processor that is earlier or equal-with-lower-ID. Only then may
-// its next service run inline without perturbing the schedule.
-func (e *Engine) isNext(p *Proc) bool {
-	if len(e.eheap) > 0 && e.arena[e.eheap[0]].at <= p.clock {
-		return false
-	}
-	if len(e.runq) > 0 {
-		q := e.runq[0]
-		if q.clock < p.clock || (q.clock == p.clock && q.ID < p.ID) {
-			return false
-		}
-	}
-	return true
-}
-
 func (e *Engine) fail(err error) {
 	if e.failed == nil {
 		e.failed = err
@@ -418,9 +395,11 @@ func (e *Engine) pollInterrupt() {
 // simulation until every processor's app function has returned. It returns
 // the final time (the maximum completion cycle over all processors).
 //
-// A panic in app code, and a non-nil Interrupt poll, both abort the run: the
-// engine unwinds and joins every processor goroutine (no leaks) and returns
-// the failure as an error.
+// Run's goroutine holds the baton first: its scheduler pass hands it to the
+// earliest processor, the processors then pass it among themselves, and it
+// comes back once the last one finishes or the run fails. A panic in app code, and a
+// non-nil Interrupt poll, both abort the run: Run unwinds and joins every
+// processor goroutine (no leaks) and returns the failure as an error.
 func (e *Engine) Run(fn func(*Proc)) (Time, error) {
 	for _, p := range e.procs {
 		p.state = procResume
@@ -432,23 +411,26 @@ func (e *Engine) Run(fn func(*Proc)) (Time, error) {
 	}
 	e.live = len(e.procs)
 
-	finish := e.loop()
+	e.pass(e.dispatch())
+	<-e.done
 	e.drain()
 	if e.failed != nil {
 		return e.now, e.failed
 	}
-	if finish < e.now {
-		finish = e.now
+	if e.finish > e.now {
+		e.now = e.finish
 	}
-	e.now = finish
-	return finish, nil
+	return e.now, nil
 }
 
-// loop is the scheduler: it advances the clock until every processor is done
-// or the run fails. A panic out of an event or service closure (protocol
-// machinery) is converted into a run failure so Run can still join the
-// processor goroutines.
-func (e *Engine) loop() (finish Time) {
+// dispatch is the scheduler, run by whichever goroutine holds the baton. It
+// advances the clock, firing events and running services, until a processor
+// must resume, and returns that processor marked running; nil means the
+// baton goes back to Run because every processor is done or the run failed.
+// A panic out of an event or service closure (protocol machinery) is
+// converted into a run failure so Run can still join the processor
+// goroutines.
+func (e *Engine) dispatch() *Proc {
 	defer func() {
 		if r := recover(); r != nil {
 			e.fail(fmt.Errorf("sim: engine panic at cycle %d: %v", e.now, r))
@@ -457,59 +439,52 @@ func (e *Engine) loop() (finish Time) {
 	for e.live > 0 && e.failed == nil {
 		e.pollInterrupt()
 		if e.failed != nil {
-			return finish
+			return nil
 		}
 		// The earliest pending action sits at the heap roots.
 		evAt := Forever
 		if len(e.eheap) > 0 {
 			evAt = e.arena[e.eheap[0]].at
 		}
-		var next *Proc
+		var p *Proc
 		procAt := Forever
 		if len(e.runq) > 0 {
-			next = e.runq[0]
-			procAt = next.clock
+			p = e.runq[0]
+			procAt = p.clock
 		}
 		if evAt <= procAt {
 			if evAt == Forever {
 				e.fail(fmt.Errorf("sim: deadlock at cycle %d: %d processors blocked with no pending events", e.now, e.live))
-				return finish
+				return nil
 			}
 			e.fireNext()
 			continue
 		}
-		e.runqRemove(next)
+		e.runqRemove(p)
 		e.now = procAt
-		switch next.state {
-		case procService:
-			next.state = procBlocked // service decides the next state
-			next.runService()
-		case procResume:
-			next.state = procRunning
-			next.resume <- struct{}{}
-			switch <-next.yield {
-			case yieldService:
-				next.state = procService
-				e.runqPush(next)
-			case yieldInline:
-				// The processor ran its service inline and already updated
-				// its state and heap membership; nothing to do here.
-			case yieldDone:
-				next.state = procDone
-				e.live--
-				if next.clock > finish {
-					finish = next.clock
-				}
-			}
+		if p.state == procResume {
+			p.state = procRunning
+			return p
 		}
+		p.state = procBlocked // service decides the next state
+		p.runService()
 	}
-	return finish
+	return nil
 }
 
-// drain poisons and joins every processor goroutine that has not finished.
-// Every live processor is parked at <-p.resume (in Invoke — slow path or
-// after an inline-path yield — or in run before its first resume), so one
-// resume/yield round trip unwinds each cleanly.
+// pass hands the baton to next, or back to Run when next is nil.
+func (e *Engine) pass(next *Proc) {
+	if next == nil {
+		e.done <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
+}
+
+// drain poisons and joins every processor goroutine that has not finished,
+// one at a time. Every live processor is parked at <-p.resume (in Invoke, in
+// Park, or in run before its first resume), so handing it the baton unwinds
+// it with abortSignal, and its exit passes the baton straight back to Run.
 func (e *Engine) drain() {
 	for _, p := range e.procs {
 		if p.state == procDone || p.state == procIdle {
@@ -517,9 +492,7 @@ func (e *Engine) drain() {
 		}
 		p.poisoned = true
 		p.resume <- struct{}{}
-		<-p.yield
-		p.state = procDone
-		e.live--
+		<-e.done
 	}
 }
 
@@ -529,27 +502,24 @@ func (p *Proc) runService() {
 	svc()
 }
 
-// runInline executes svc in engine context on the processor's own goroutine,
-// converting a service panic into a run failure exactly as the engine loop
-// does for slow-path services.
-func (e *Engine) runInline(svc func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.fail(fmt.Errorf("sim: engine panic at cycle %d: %v", e.now, r))
-		}
-	}()
-	svc()
-}
-
+// run is a processor goroutine. It waits for the baton, runs the app
+// function, and on the way out — finished, panicked or aborted — marks the
+// processor done and passes the baton on.
 func (p *Proc) run(fn func(*Proc)) {
+	e := p.eng
 	<-p.resume
 	defer func() {
 		if r := recover(); r != nil {
 			if _, aborting := r.(abortSignal); !aborting {
-				p.eng.fail(fmt.Errorf("sim: proc %d panicked: %v", p.ID, r))
+				e.fail(fmt.Errorf("sim: proc %d panicked: %v", p.ID, r))
 			}
 		}
-		p.yield <- yieldDone
+		p.state = procDone
+		e.live--
+		if p.clock > e.finish {
+			e.finish = p.clock
+		}
+		e.pass(e.dispatch())
 	}()
 	if p.poisoned {
 		return
@@ -570,50 +540,28 @@ func (p *Proc) Advance(n Time) {
 	p.clock += n
 }
 
-// Invoke yields to the engine and runs svc in exclusive engine context once
-// global time reaches the processor's clock (all earlier events fire first).
-// The service must finish the processor's transition by calling ResumeAt or
-// Block; app code resumes once the engine next selects this processor.
-// It must only be called from the processor's own app code.
-//
-// Fast path: when the invoking processor is already the unique earliest
-// actor (no event at or before its clock, no earlier runnable processor),
-// the engine would necessarily select it next, so the service runs inline on
-// the processor goroutine — the engine stays parked on this processor's
-// yield channel, preserving engine exclusivity — and, if the processor is
-// again the earliest actor at its resume time, app code continues without
-// any channel handoff at all.
+// Invoke queues svc to run in exclusive engine context once global time
+// reaches the processor's clock (all earlier events fire first), then runs the
+// scheduler on this goroutine. The service must finish the processor's
+// transition by calling ResumeAt or Block; app code continues once the
+// scheduler next selects this processor. If that happens within this call,
+// Invoke returns without a goroutine switch; otherwise it passes the baton to
+// the selected processor and parks until handed it back. A processor that
+// finds the run failed unwinds with abortSignal. It must only be called from
+// the processor's own app code.
 func (p *Proc) Invoke(svc func()) {
 	e := p.eng
-	if e.failed == nil && e.isNext(p) {
-		e.pollInterrupt()
-		if e.failed == nil {
-			e.now = p.clock
-			p.state = procBlocked // service decides the next state
-			e.runInline(svc)
-			if e.failed == nil && p.state == procResume && p.qi == 0 &&
-				(len(e.eheap) == 0 || e.arena[e.eheap[0]].at > p.clock) {
-				// Still the earliest actor at the resume time: continue app
-				// code directly.
-				e.runqRemove(p)
-				e.now = p.clock
-				p.state = procRunning
-				return
-			}
-			// Someone else must run first (or the run failed): hand control
-			// back to the engine and park until selected.
-			p.yield <- yieldInline
-			<-p.resume
-			if p.poisoned {
-				panic(abortSignal{})
-			}
-			return
-		}
-		// A firing Interrupt poll falls through to the slow path so the
-		// engine regains control and unwinds the run.
-	}
 	p.svc = svc
-	p.yield <- yieldService
+	p.state = procService
+	e.runqPush(p)
+	next := e.dispatch()
+	if next == p {
+		return
+	}
+	if next == nil {
+		panic(abortSignal{})
+	}
+	next.resume <- struct{}{}
 	<-p.resume
 	if p.poisoned {
 		panic(abortSignal{})
@@ -621,10 +569,10 @@ func (p *Proc) Invoke(svc func()) {
 }
 
 // Park blocks the processor until it is released: by Release (a functional
-// round leader dispatching it to a worker slot) or by the engine selecting it
-// after Reattach. A parked processor is indistinguishable from one waiting at
-// its normal resume point, so the engine's resume/yield protocol and the
-// abort path (poison) both work on it unchanged. App-context only.
+// round leader dispatching it to a worker slot) or by the scheduler selecting
+// it after Reattach. A parked processor is indistinguishable from one waiting
+// at its Invoke resume point, so the baton handoff and the abort path
+// (poison) both work on it unchanged. App-context only.
 func (p *Proc) Park() {
 	<-p.resume
 	if p.poisoned {
@@ -632,19 +580,19 @@ func (p *Proc) Park() {
 	}
 }
 
-// Release wakes a processor parked at Park or at its Invoke resume point.
-// Called from app context by a functional round leader; the engine itself
-// stays parked on the leader's yield channel, so engine exclusivity holds
-// for everything the released processor is allowed to touch (its own node
+// Release wakes a processor parked at Park or at its Invoke resume point
+// without handing it the baton. Called from app context by a functional round
+// leader, which keeps the baton for the whole round, so no scheduler runs
+// while the released processor touches what it is allowed to (its own node
 // state only — see the sampler's round protocol).
 func (p *Proc) Release() { p.resume <- struct{}{} }
 
 // DetachRunnable removes every resumable (procResume) processor from the
 // runnable heap and appends it to dst in ascending ID order. The caller takes
-// responsibility for running the detached processors outside the engine and
-// must Reattach them before the engine regains control. Processors with a
+// responsibility for running the detached processors outside the scheduler and
+// must Reattach them before it passes the baton on. Processors with a
 // pending service stay queued; blocked and finished processors are untouched.
-// Must be called from app context under engine exclusivity.
+// Must be called from app context holding the baton.
 func (e *Engine) DetachRunnable(dst []*Proc) []*Proc {
 	start := len(dst)
 	for _, p := range e.procs {
@@ -660,16 +608,16 @@ func (e *Engine) DetachRunnable(dst []*Proc) []*Proc {
 
 // Reattach returns processors taken by DetachRunnable to the runnable heap,
 // keyed by their (possibly advanced) clocks. Must be called from app context
-// under engine exclusivity before control returns to the engine.
+// holding the baton, before it is passed on.
 func (e *Engine) Reattach(ps []*Proc) {
 	for _, p := range ps {
 		e.runqPush(p)
 	}
 }
 
-// Yield hands control back to the engine without advancing the clock: the
-// processor re-enters the runnable queue at its current time and resumes
-// once it is the earliest actor again. Functional-warmup stretches call it
+// Yield runs the scheduler without advancing the clock: the processor
+// re-enters the runnable queue at its current time and resumes once it is
+// the earliest actor again. Functional-warmup stretches call it
 // periodically so processors advance in near-lockstep — unbounded bursts
 // would run one processor's clock far ahead of the parked rest, and the
 // artificial skew would resolve as phantom sync stall at the next barrier.

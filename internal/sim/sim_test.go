@@ -3,9 +3,24 @@ package sim
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
+
+// checkNoLeak fails t unless the goroutine count falls back to before: an
+// aborted run must join every processor goroutine.
+func checkNoLeak(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines leaked after abort", n-before)
+	}
+}
 
 // TestSingleProcAdvance checks that pure computation advances the clock.
 func TestSingleProcAdvance(t *testing.T) {
@@ -116,14 +131,51 @@ func TestBlockAndWake(t *testing.T) {
 }
 
 // TestDeadlockDetection checks that a stuck simulation errors out instead of
-// hanging.
+// hanging, whichever processor's handoff finds the deadlock, and that every
+// processor goroutine is joined.
 func TestDeadlockDetection(t *testing.T) {
-	e := NewEngine(1)
-	_, err := e.Run(func(p *Proc) {
-		p.Invoke(func() { p.Block() })
+	t.Run("one proc", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		e := NewEngine(1)
+		_, err := e.Run(func(p *Proc) {
+			p.Invoke(func() { p.Block() })
+		})
+		if err == nil {
+			t.Fatal("expected deadlock error")
+		}
+		checkNoLeak(t, before)
 	})
-	if err == nil {
-		t.Fatal("expected deadlock error")
+	// Processor 0 blocks for good and parks; processor 1's own handoff then
+	// finds nothing left to run — from its Invoke, or as it exits.
+	for _, tc := range []struct {
+		name string
+		exit bool
+		want string
+	}{
+		{"found in invoke", false, "sim: deadlock at cycle 10: 2 processors blocked"},
+		{"found on exit", true, "sim: deadlock at cycle 10: 1 processors blocked"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := NewEngine(2)
+			_, err := e.Run(func(p *Proc) {
+				if p.ID == 0 {
+					p.Invoke(func() { p.Block() })
+					t.Error("deadlocked processor resumed into app code")
+					return
+				}
+				p.Advance(10)
+				p.Invoke(func() { p.ResumeAt(p.Clock()) })
+				if !tc.exit {
+					p.Invoke(func() { p.Block() })
+					t.Error("deadlocked processor resumed into app code")
+				}
+			})
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want prefix %q", err, tc.want)
+			}
+			checkNoLeak(t, before)
+		})
 	}
 }
 
@@ -159,6 +211,7 @@ func TestDeterminism(t *testing.T) {
 
 // TestScheduleInPast checks that scheduling in the past aborts the run.
 func TestScheduleInPast(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine(1)
 	_, err := e.Run(func(p *Proc) {
 		p.Advance(100)
@@ -170,6 +223,7 @@ func TestScheduleInPast(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error for scheduling in the past")
 	}
+	checkNoLeak(t, before)
 }
 
 // TestRandomSchedulesProperty is a property test: for arbitrary interleaved
@@ -266,14 +320,7 @@ func TestInterruptAborts(t *testing.T) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
 	}
 	// All four processor goroutines must have unwound.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines leaked after abort", n-before)
-	}
+	checkNoLeak(t, before)
 }
 
 // TestInterruptCleanRunUnchanged checks a non-firing Interrupt cannot
@@ -304,6 +351,7 @@ func TestInterruptCleanRunUnchanged(t *testing.T) {
 // run error instead of crashing the process, and the sibling processors are
 // unwound.
 func TestProcPanicBecomesError(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine(2)
 	_, err := e.Run(func(p *Proc) {
 		if p.ID == 1 {
@@ -319,6 +367,7 @@ func TestProcPanicBecomesError(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected an error from the panicking processor")
 	}
+	checkNoLeak(t, before)
 }
 
 // TestEventsCascade checks an event may schedule another event at the same
@@ -349,8 +398,8 @@ func TestEventsCascade(t *testing.T) {
 }
 
 // TestScheduleAtNow checks an event scheduled at exactly the current cycle is
-// legal, fires before the scheduling processor's next service (events-first
-// tie-break), and in particular blocks the inline continuation fast path.
+// legal and fires before the scheduling processor's next service
+// (events-first tie-break), even though that processor holds the baton.
 func TestScheduleAtNow(t *testing.T) {
 	e := NewEngine(1)
 	var log []string
@@ -373,8 +422,8 @@ func TestScheduleAtNow(t *testing.T) {
 	}
 }
 
-// TestInlineServiceSelfWake checks a service running on the inline fast path
-// may block its own processor and schedule the event that resumes it.
+// TestInlineServiceSelfWake checks a service run by its own processor's
+// handoff may block that processor and schedule the event that resumes it.
 func TestInlineServiceSelfWake(t *testing.T) {
 	e := NewEngine(1)
 	final, err := e.Run(func(p *Proc) {
@@ -387,7 +436,8 @@ func TestInlineServiceSelfWake(t *testing.T) {
 		if p.Clock() != 45 {
 			t.Errorf("woken at %d, want 45", p.Clock())
 		}
-		// Immediate self-resume: the inline continuation path (no handoff).
+		// Immediate self-resume: the scheduler selects this processor again
+		// (no handoff).
 		p.Invoke(func() { p.ResumeAt(p.Clock() + 7) })
 	})
 	if err != nil {
@@ -398,9 +448,10 @@ func TestInlineServiceSelfWake(t *testing.T) {
 	}
 }
 
-// TestInterruptDuringInlinePath checks an Interrupt poll that fires on the
-// inline fast path still aborts the run cleanly: the processor falls back to
-// the slow path so the engine regains control, and every goroutine unwinds.
+// TestInterruptDuringInlinePath checks an Interrupt poll that fires while a
+// processor keeps the baton across its own services still aborts the run
+// cleanly: the processor unwinds itself, returns the baton to Run, and every
+// goroutine unwinds.
 func TestInterruptDuringInlinePath(t *testing.T) {
 	before := runtime.NumGoroutine()
 	boom := errors.New("cancelled")
@@ -408,9 +459,9 @@ func TestInterruptDuringInlinePath(t *testing.T) {
 	e.Interrupt = func() error { return boom }
 	services := 0
 	_, err := e.Run(func(p *Proc) {
-		// A single processor with no pending events runs every Invoke on the
-		// inline path, so the firing poll lands between an inline service and
-		// its resume.
+		// A single processor with no pending events is selected again by
+		// every Invoke, so the firing poll lands in its own scheduler pass,
+		// between a service and its resume or before the next service.
 		for i := 0; i < 1_000_000; i++ {
 			p.Advance(1)
 			p.Invoke(func() { services++; p.ResumeAt(p.Clock()) })
@@ -422,26 +473,20 @@ func TestInterruptDuringInlinePath(t *testing.T) {
 	if services >= 1_000_000 {
 		t.Fatal("interrupt never fired")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines leaked after abort", n-before)
-	}
+	checkNoLeak(t, before)
 }
 
 // TestDrainWithInlineParkedProc checks the abort path unwinds a processor
-// that is parked mid-Invoke on the inline path (blocked in its own inline
-// service, waiting on its resume channel) when a sibling fails the run.
+// that is parked mid-Invoke (its own handoff ran the service that blocked it,
+// then passed the baton on) when a sibling fails the run.
 func TestDrainWithInlineParkedProc(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine(2)
 	_, err := e.Run(func(p *Proc) {
 		if p.ID == 0 {
-			// Runs inline (earliest actor), blocks, and parks on resume; the
-			// wake event is far enough out that the sibling fails first.
+			// Earliest actor: its own handoff runs the service, which blocks
+			// it, and it parks on resume; the wake event is far enough out
+			// that the sibling fails first.
 			p.Invoke(func() {
 				e.Schedule(1000, func() { p.ResumeAt(1000) })
 				p.Block()
@@ -455,12 +500,36 @@ func TestDrainWithInlineParkedProc(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected an error from the panicking service")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+	checkNoLeak(t, before)
+}
+
+// TestEventPanicInHandoff checks a panicking event fired by a processor's
+// handoff (not Run's goroutine) fails the run with an engine-panic error and
+// unwinds both the firing processor and a parked sibling.
+func TestEventPanicInHandoff(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine(2)
+	_, err := e.Run(func(p *Proc) {
+		if p.ID == 0 {
+			// Blocks and parks; its wake event is never reached.
+			p.Invoke(func() {
+				e.Schedule(1000, func() { p.ResumeAt(1000) })
+				p.Block()
+			})
+			t.Error("poisoned processor resumed into app code")
+			return
+		}
+		p.Advance(10)
+		// This Invoke's scheduler pass runs the service, then fires the
+		// event at cycle 50 before resuming the processor at 100.
+		p.Invoke(func() {
+			e.Schedule(50, func() { panic("proto bug") })
+			p.ResumeAt(100)
+		})
+		t.Error("processor resumed after its handoff failed the run")
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "sim: engine panic at cycle 50") {
+		t.Fatalf("err = %v, want prefix %q", err, "sim: engine panic at cycle 50")
 	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines leaked after abort", n-before)
-	}
+	checkNoLeak(t, before)
 }

@@ -14,9 +14,8 @@
 //	          [-chaos "seed=42,store.write=0.1,http.error=0.05"] \
 //	          [-peers http://a:8100,http://b:8100 -self http://a:8100] \
 //	          [-vnodes 64] [-replication 1] [-upstream http://hub:8100] \
-//	          [-probe-interval 2s] [-repair-interval 5s] \
-//	          [-join http://a:8100] [-rebalance-interval 30s] \
-//	          [-rebalance-rate 200] [-antientropy-interval 1m]
+//	          [-probe-interval 2s] [-join http://a:8100] \
+//	          [-rebalance-interval 30s] [-rebalance-rate 200]
 //
 //	netcached -admin http://a:8100 -decommission http://b:8100   # one-shot
 //	netcached -admin http://a:8100 -remove http://c:8100         # one-shot
@@ -27,33 +26,32 @@
 //	POST /v1/batch               {"specs":[...]} -> {"results":[...]} in spec order
 //	GET  /v1/apps                the Table 4 application list
 //	GET  /v1/stats               per-tier store occupancy and maintenance counters
-//	GET  /v1/result/{key}        store-only lookup (upstream read-through, anti-entropy pulls)
+//	GET  /v1/result/{key}        store-only lookup (upstream read-through)
 //	POST /v1/results/missing     which of a key list the store lacks (internode presence check)
 //	POST /v1/results             multi-key replica push, length-prefixed frames (internode)
-//	GET  /v1/cluster             ring, per-peer health, handoff/rebalance state
+//	GET  /v1/cluster             ring, per-peer health, rebalance status (done, owed)
 //	GET  /v1/cluster/membership  current membership (POST: join/remove/decommission/adopt)
-//	GET  /v1/cluster/digest      anti-entropy range digest (internode)
-//	GET  /v1/cluster/keys        anti-entropy range key list (internode)
+//	GET  /v1/cluster/digest      per-range digests of the keys shared with ?peer= (internode)
 //	GET  /healthz                liveness (503 while draining)
 //	GET  /metrics                Prometheus text format
 //
 // Clustering: -peers turns N daemons into one logical store. Every node
 // gets the same -peers list plus its own entry as -self; a consistent-hash
 // ring assigns each result key an owner, non-owners proxy misses to it, and
-// when the owner is unreachable they recompute locally and hand the result
-// off once it returns. -upstream chains a read-through parent cache that is
-// consulted (store-only) before simulating.
+// when the owner is unreachable they recompute locally and push the result
+// to it once it returns. -upstream chains a read-through parent cache that
+// is consulted (store-only) before simulating.
 //
 // Membership is versioned: every change (POST /v1/cluster/membership, the
 // -join handshake, or the one-shot -admin mode) produces a new ring with a
-// higher epoch, gossiped via epoch headers on probes and proxy traffic. On
-// an epoch change each node streams the keys whose replica set moved to
-// their new owners (resumable, rate-limited by -rebalance-rate), and a
-// periodic anti-entropy digest sweep heals any replica gaps churn left
-// behind. A decommissioned node keeps serving while it drains; stop it once
-// GET /v1/cluster reports rebalance done at the decommission epoch. With a
-// -store, the adopted membership is persisted under <store>/cluster/ and
-// resumed at boot.
+// higher epoch, gossiped via epoch headers on probes and proxy traffic.
+// One rebalance pass per node keeps every stored key on its replicas: it
+// runs on every epoch change, whenever a peer comes back up, and every
+// -rebalance-interval, and it is resumable and rate-limited by
+// -rebalance-rate. A decommissioned node keeps serving while it drains;
+// stop it once GET /v1/cluster reports rebalance done at the decommission
+// epoch. With a -store, the adopted membership is persisted under
+// <store>/cluster/ and resumed at boot.
 //
 // Example:
 //
@@ -114,12 +112,10 @@ func main() {
 		replication = flag.Int("replication", 1, "distinct peers per key (owner first); clamped to the peer count")
 		upstream    = flag.String("upstream", "", "base URL of a read-through parent cache consulted before simulating (empty = none)")
 		probeIvl    = flag.Duration("probe-interval", 2*time.Second, "peer health-probe period")
-		repairIvl   = flag.Duration("repair-interval", 5*time.Second, "hinted-handoff repair period")
 
 		join      = flag.String("join", "", "base URL of an existing member to join at boot (requires -self; -peers defaults to just -self)")
-		rebalIvl  = flag.Duration("rebalance-interval", 30*time.Second, "background rebalance walk period (doubles as its retry schedule)")
+		rebalIvl  = flag.Duration("rebalance-interval", 30*time.Second, "background rebalance pass period (doubles as its retry schedule)")
 		rebalRate = flag.Int("rebalance-rate", 0, "rebalance push rate limit, keys/sec (0 = unlimited)")
-		antiIvl   = flag.Duration("antientropy-interval", time.Minute, "anti-entropy digest sweep period")
 
 		admin        = flag.String("admin", "", "one-shot admin mode: send a membership change via this member, print the new membership, exit")
 		decommission = flag.String("decommission", "", "with -admin: drain-then-leave this peer (it streams its keys away; stop it once rebalance reports done)")
@@ -248,18 +244,16 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Store:               st,
-		Workers:             *jobs,
-		QueueDepth:          *queue,
-		Timeout:             *timeout,
-		Log:                 logger,
-		Inject:              inj,
-		Cluster:             cl,
-		Upstream:            up,
-		RepairInterval:      *repairIvl,
-		RebalanceInterval:   *rebalIvl,
-		RebalanceRate:       *rebalRate,
-		AntiEntropyInterval: *antiIvl,
+		Store:             st,
+		Workers:           *jobs,
+		QueueDepth:        *queue,
+		Timeout:           *timeout,
+		Log:               logger,
+		Inject:            inj,
+		Cluster:           cl,
+		Upstream:          up,
+		RebalanceInterval: *rebalIvl,
+		RebalanceRate:     *rebalRate,
 	})
 
 	l, err := net.Listen("tcp", *addr)

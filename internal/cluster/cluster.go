@@ -62,13 +62,12 @@ type Cluster struct {
 	rf   int
 	cfg  Config
 
-	mu        sync.Mutex
-	ring      *Ring  // current ring; immutable once installed
-	epoch     uint64 // the ring's membership epoch
-	prev      *Ring  // ring before the last adoption (nil: never changed)
-	prevEpoch uint64
-	peers     map[string]*peerState // remote peers; Self is always up
-	onChange  []func(Membership)
+	mu       sync.Mutex
+	ring     *Ring                 // current ring; immutable once installed
+	epoch    uint64                // the ring's membership epoch
+	peers    map[string]*peerState // remote peers; Self is always up
+	onChange []func(Membership)
+	onPeerUp []func(peer string)
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -185,6 +184,10 @@ func (c *Cluster) mark(peer string, up bool) {
 		s.up = up
 		s.since = time.Now()
 	}
+	var fns []func(string)
+	if changed && up {
+		fns = append(fns, c.onPeerUp...)
+	}
 	c.mu.Unlock()
 	if changed {
 		if up {
@@ -193,6 +196,18 @@ func (c *Cluster) mark(peer string, up bool) {
 			c.cfg.Log.Printf("cluster: peer %s down", peer)
 		}
 	}
+	for _, f := range fns {
+		f(peer)
+	}
+}
+
+// OnPeerUp registers f to run each time a remote peer's health flips from
+// down to up, by probe or by a successful exchange. Callbacks run on the
+// marking goroutine, outside the cluster lock, and must not block.
+func (c *Cluster) OnPeerUp(f func(peer string)) {
+	c.mu.Lock()
+	c.onPeerUp = append(c.onPeerUp, f)
+	c.mu.Unlock()
 }
 
 // Status snapshots every member's health, sorted by URL (Self included
@@ -224,8 +239,7 @@ func (c *Cluster) SetProbe(f func(ctx context.Context, peer string) error) {
 }
 
 // Member reports whether peer is part of the current membership. Unlike
-// health, membership is routing truth: hints and rebalance targets aimed
-// at a non-member are stale and get dropped.
+// health, membership is routing truth.
 func (c *Cluster) Member(peer string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -74,6 +74,22 @@ func TestClusterHealthMarking(t *testing.T) {
 	if len(st) != 3 || !st[0].Self || st[0].URL != "http://n1" {
 		t.Fatalf("status = %+v", st)
 	}
+
+	// The peer-up callback fires once per down-to-up flip, and never on an
+	// up-to-up mark or a down mark.
+	var ups []string
+	c.OnPeerUp(func(peer string) { ups = append(ups, peer) })
+	c.MarkUp("http://n2") // already up
+	c.MarkDown("http://n3")
+	c.MarkDown("http://n3")
+	if len(ups) != 0 {
+		t.Fatalf("peer-up callback fired on an up-to-up or a down mark: %v", ups)
+	}
+	c.MarkUp("http://n3")
+	c.MarkUp("http://n3")
+	if len(ups) != 1 || ups[0] != "http://n3" {
+		t.Fatalf("after one down-to-up flip the callback saw %v, want [http://n3]", ups)
+	}
 }
 
 func TestClusterProbeLoop(t *testing.T) {

@@ -60,8 +60,8 @@ const (
 	// returns the current membership without burning an epoch.
 	ActionJoin = "join"
 	// ActionRemove force-removes a peer — the operator's fix for a node
-	// that died and is not coming back. Its keys re-home immediately;
-	// hints queued for it become stale and self-delete.
+	// that died and is not coming back. Its keys re-home immediately, and
+	// keys other nodes still owed it are owed to the new replicas instead.
 	ActionRemove = "remove"
 	// ActionDecommission removes a peer that is still alive: the ring
 	// stops routing to it at once, and the node — observing it has left —
@@ -132,7 +132,6 @@ func (c *Cluster) Adopt(m Membership) (bool, error) {
 		return false, nil
 	}
 	prevEpoch := c.epoch
-	c.prev, c.prevEpoch = c.ring, c.epoch
 	c.ring, c.epoch = ring, m.Epoch
 	peers := make(map[string]*peerState, len(ring.peers))
 	for _, p := range ring.peers {
@@ -188,7 +187,7 @@ func (c *Cluster) Epoch() uint64 {
 }
 
 // View atomically snapshots the epoch and its ring, so a caller walking
-// many keys (the rebalance mover) prices every key against one consistent
+// many keys (the rebalance pass) prices every key against one consistent
 // ring even while gossip swaps it out.
 func (c *Cluster) View() (uint64, *Ring) {
 	c.mu.Lock()
@@ -196,18 +195,9 @@ func (c *Cluster) View() (uint64, *Ring) {
 	return c.epoch, c.ring
 }
 
-// PrevView returns the ring that was current before the last adopted
-// membership (nil before any change). The rebalance mover uses it to
-// skip keys whose replica set did not move.
-func (c *Cluster) PrevView() (uint64, *Ring) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.prevEpoch, c.prev
-}
-
 // Left reports whether this node has been removed from the membership
 // (decommissioned or force-removed): it still serves — proxying
-// everything — while the rebalance mover drains its keys to their owners.
+// everything — while the rebalance pass drains its keys to their owners.
 func (c *Cluster) Left() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -21,8 +21,7 @@
 // it up). Because every result is a deterministic recomputation, neither
 // a down peer nor a stale ring view ever threatens correctness — only
 // locality — so a wrong guess costs an extra hop or a recompute, and the
-// streaming rebalance plus anti-entropy repair restore locality after
-// every ring move.
+// server's rebalance pass restores locality after every ring move.
 package cluster
 
 import (

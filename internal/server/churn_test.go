@@ -5,11 +5,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,13 +127,13 @@ func TestMembershipGossip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Epoch != m2.Epoch || cs.Left || cs.Rebalance == nil || cs.AntiEntropy == nil {
-		t.Fatalf("cluster status = %+v, want epoch %d with rebalance/anti-entropy state", cs, m2.Epoch)
+	if cs.Epoch != m2.Epoch || cs.Left || cs.Rebalance == nil {
+		t.Fatalf("cluster status = %+v, want epoch %d with rebalance state", cs, m2.Epoch)
 	}
 }
 
 // TestRebalanceJoinDrain drives the fault-free join and decommission
-// paths: a sweep lands on a 2-node ring, a third node joins and the mover
+// paths: a sweep lands on a 2-node ring, a third node joins and the pass
 // streams its share over (resumably, via the persisted cursor machinery),
 // then the joiner is decommissioned and drains every key it holds back to
 // the survivors before reporting Done.
@@ -138,7 +141,6 @@ func TestRebalanceJoinDrain(t *testing.T) {
 	ctx := context.Background()
 	fast := func(_ int, cfg *Config) {
 		cfg.RebalanceInterval = 25 * time.Millisecond
-		cfg.AntiEntropyInterval = 10 * time.Minute // driven explicitly where needed
 	}
 	nodes := startCluster(t, 2, 1, fast)
 	specs := fullSweep()
@@ -167,7 +169,7 @@ func TestRebalanceJoinDrain(t *testing.T) {
 		return nodes[0].cl.Epoch() == m1.Epoch && nodes[1].cl.Epoch() == m1.Epoch && joiner.cl.Epoch() == m1.Epoch
 	})
 
-	// The survivors' movers stream every key the joiner now owns to it.
+	// The survivors' passes stream every key the joiner now owns to it.
 	owned := 0
 	for _, key := range keys {
 		if joiner.cl.Owner(key) == joiner.url {
@@ -264,15 +266,12 @@ func TestRebalanceJoinDrain(t *testing.T) {
 }
 
 // TestAntiEntropyRepair manufactures replica divergence directly in the
-// stores of an RF=2 pair and checks one sweep heals it exactly: keys only
-// on A are pushed, keys only on B are pulled, and a second sweep (from
-// either side) reports a converged cluster.
+// stores of an RF=2 pair and checks the digest exchange heals it push-only:
+// one pass on A pushes the keys only A holds, one pass on B pushes the
+// keys only B holds, and then a pass from either side moves nothing.
 func TestAntiEntropyRepair(t *testing.T) {
 	ctx := context.Background()
-	nodes := startCluster(t, 2, 2, func(_ int, cfg *Config) {
-		cfg.RebalanceInterval = 10 * time.Minute // isolate the anti-entropy path
-		cfg.AntiEntropyInterval = 10 * time.Minute
-	})
+	nodes := startCluster(t, 2, 2, manualLoops)
 	waitFor(t, "peers to probe up", func() bool {
 		return nodes[0].cl.Up(nodes[1].url) && nodes[1].cl.Up(nodes[0].url)
 	})
@@ -296,9 +295,11 @@ func TestAntiEntropyRepair(t *testing.T) {
 		}
 	}
 
-	pulled, pushed := nodes[0].srv.AntiEntropyPass(ctx)
-	if pulled != onlyB || pushed != onlyA {
-		t.Fatalf("repair pass pulled %d / pushed %d, want %d / %d", pulled, pushed, onlyB, onlyA)
+	if moved, _ := nodes[0].srv.RebalancePass(ctx); moved != onlyA {
+		t.Fatalf("pass on A pushed %d keys, want %d", moved, onlyA)
+	}
+	if moved, _ := nodes[1].srv.RebalancePass(ctx); moved != onlyB {
+		t.Fatalf("pass on B pushed %d keys, want %d", moved, onlyB)
 	}
 	for i := 0; i < onlyA+onlyB; i++ {
 		for _, n := range nodes {
@@ -312,40 +313,37 @@ func TestAntiEntropyRepair(t *testing.T) {
 		}
 	}
 
-	// Converged: both directions now report nothing to do.
-	if p, q := nodes[0].srv.AntiEntropyPass(ctx); p+q != 0 {
-		t.Fatalf("second pass repaired %d+%d keys on a converged pair", p, q)
+	// Converged: the digests match, so neither side offers a key.
+	for _, n := range nodes {
+		if moved, skipped := n.srv.RebalancePass(ctx); moved+skipped != 0 {
+			t.Fatalf("pass on %s moved %d and offered %d present keys on a converged pair", n.url, moved, skipped)
+		}
 	}
-	if p, q := nodes[1].srv.AntiEntropyPass(ctx); p+q != 0 {
-		t.Fatalf("reverse pass repaired %d+%d keys on a converged pair", p, q)
-	}
-	st := nodes[0].srv.AntiEntropyStatus()
-	if st.Passes != 2 || st.Pulled != onlyB || st.Pushed != onlyA || st.LastRepaired != 0 {
-		t.Fatalf("anti-entropy status = %+v", st)
-	}
-	text, err := nodes[0].c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := metricValue(t, text, "netcached_cluster_antientropy_pushed_total"); v != onlyA {
-		t.Fatalf("antientropy_pushed_total = %d, want %d", v, onlyA)
-	}
-	if v := metricValue(t, text, "netcached_cluster_antientropy_pulled_total"); v != onlyB {
-		t.Fatalf("antientropy_pulled_total = %d, want %d", v, onlyB)
+	for i, n := range nodes {
+		text, err := n.c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []int64{onlyA, onlyB}[i]
+		if v := metricValue(t, text, "netcached_cluster_rebalance_moved_total"); v != want {
+			t.Fatalf("%s: rebalance_moved_total = %d, want %d", n.url, v, want)
+		}
+		if v := metricValue(t, text, "netcached_cluster_rebalance_received_total"); v != onlyA+onlyB-want {
+			t.Fatalf("%s: rebalance_received_total = %d, want %d", n.url, v, onlyA+onlyB-want)
+		}
 	}
 }
 
 // TestReplicationExceedsLivePeers: churn can shrink the membership below
 // the configured replication factor. The replica walk must clamp to the
 // live peers (never block or error hunting for peers that do not exist),
-// serving must continue from the survivor, and both repair loops —
-// rebalance and anti-entropy — must report a clean, complete pass rather
-// than wedging on the unreachable replica count.
+// serving must continue from the survivor, and the rebalance pass must
+// report a clean, complete pass rather than wedging on the unreachable
+// replica count.
 func TestReplicationExceedsLivePeers(t *testing.T) {
 	ctx := context.Background()
 	nodes := startCluster(t, 2, 2, func(_ int, cfg *Config) {
 		cfg.RebalanceInterval = 10 * time.Minute // drive passes by hand
-		cfg.AntiEntropyInterval = 10 * time.Minute
 	})
 	waitFor(t, "peers to probe up", func() bool {
 		return nodes[0].cl.Up(nodes[1].url) && nodes[1].cl.Up(nodes[0].url)
@@ -419,10 +417,107 @@ func TestReplicationExceedsLivePeers(t *testing.T) {
 		t.Fatalf("rebalance status below RF = %+v, want clean Done at epoch %d", rs, m.Epoch)
 	}
 
-	// Anti-entropy: no live peers means a clean no-op pass.
-	if p, q := nodes[0].srv.AntiEntropyPass(ctx); p+q != 0 {
-		t.Fatalf("anti-entropy below RF repaired %d+%d keys with no peers", p, q)
+	// No live peers means a clean no-op pass.
+	if moved, skipped := nodes[0].srv.RebalancePass(ctx); moved+skipped != 0 {
+		t.Fatalf("pass below RF repaired %d+%d keys with no peers", moved, skipped)
 	}
+}
+
+// TestRebalanceBackToBackEpochs: a replica one pass could not reach must
+// get its keys from a later pass, even after another epoch lands that
+// leaves those keys' replica set unchanged. Four nodes at RF=2 with A's
+// requests to C refused: B is removed (epoch 1) and A's pass ends owing
+// C the keys whose replica set gained it. C's requests then go through,
+// D is removed (epoch 2), and once A reports Done at epoch 2 C must hold
+// every one of those keys.
+func TestRebalanceBackToBackEpochs(t *testing.T) {
+	ctx := context.Background()
+	ls, urls := listenN(t, 4)
+	var refuse atomic.Bool
+	refuse.Store(true)
+	mutate := func(i int, cfg *Config) {
+		manualLoops(i, cfg)
+		if i != 0 {
+			return
+		}
+		internode := cfg.Internode
+		cfg.Internode = func(peer string) *Client {
+			c := internode(peer)
+			if peer == urls[2] {
+				c.HTTPClient = &http.Client{Transport: refusingTransport{&refuse}}
+			}
+			return c
+		}
+	}
+	nodes := make([]*cnode, len(urls))
+	for i := range nodes {
+		nodes[i] = bootClusterNode(t, urls, i, t.TempDir(), nil, ls[i], 2, mutate)
+	}
+	a, b, c, d := nodes[0], nodes[1], nodes[2], nodes[3]
+	waitFor(t, "A to see C down", func() bool { return !a.cl.Up(c.url) })
+
+	_, ring0 := a.cl.View()
+	var keys []string
+	for i := 0; len(keys) < 200; i++ {
+		key := testKey(fmt.Sprint("back-to-back-", i))
+		if !a.cl.IsReplica(key) {
+			continue
+		}
+		if err := a.st.Put(key, []byte(fmt.Sprintf(`{"entry":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+
+	b.stop(t)
+	m1, err := a.c.UpdateMembership(ctx, cluster.ActionRemove, b.url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.srv.RebalancePass(ctx)
+	if rs := a.srv.RebalanceStatus(); rs.Epoch != m1.Epoch || rs.Done {
+		t.Fatalf("A's pass at epoch %d with C unreachable: %+v, want not Done", m1.Epoch, rs)
+	}
+	_, ring1 := a.cl.View()
+	var gained []string
+	for _, key := range keys {
+		if !slices.Contains(ring0.Replicas(key, 2), c.url) && slices.Contains(ring1.Replicas(key, 2), c.url) {
+			gained = append(gained, key)
+		}
+	}
+	if len(gained) == 0 {
+		t.Fatal("no key's replica set gained C at epoch 1; the scenario exercised nothing")
+	}
+
+	refuse.Store(false)
+	waitFor(t, "A to see C up", func() bool { return a.cl.Up(c.url) })
+	m2, err := a.c.UpdateMembership(ctx, cluster.ActionRemove, d.url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "A to report Done at epoch 2", func() bool {
+		rs := a.srv.RebalanceStatus()
+		return rs.Epoch == m2.Epoch && rs.Done
+	})
+	lacks := 0
+	for _, key := range gained {
+		if _, ok := c.st.Get(key); !ok {
+			lacks++
+		}
+	}
+	if lacks > 0 {
+		t.Fatalf("A reports Done at epoch %d, but C lacks %d of the %d keys it gained at epoch %d", m2.Epoch, lacks, len(gained), m1.Epoch)
+	}
+}
+
+// refusingTransport fails every request while refuse is set.
+type refusingTransport struct{ refuse *atomic.Bool }
+
+func (rt refusingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if rt.refuse.Load() {
+		return nil, errors.New("refused by test transport")
+	}
+	return http.DefaultTransport.RoundTrip(r)
 }
 
 // simTracker records every simulation a node executes as (key, epoch at
@@ -464,10 +559,9 @@ func (tr *simTracker) duplicates() int {
 // against a 3-node RF=2 cluster under store and HTTP chaos while the
 // membership churns — one node killed and removed, a fresh node joined,
 // a node decommissioned and drained — and at quiesce the cluster must be
-// byte-identical to the fault-free baseline, with handoff and rebalance
-// queues empty, anti-entropy reporting zero missing replicas, and no spec
-// recomputed within an owner epoch beyond what the injected store faults
-// excuse.
+// byte-identical to the fault-free baseline, with nothing owed, a pass
+// from either survivor finding nothing to push, and no spec recomputed
+// within an owner epoch beyond what the injected store faults excuse.
 func TestClusterChurnSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn sweep runs the full figure corpus under chaos; skipped in -short")
@@ -488,10 +582,8 @@ func TestClusterChurnSweep(t *testing.T) {
 	mutate := func(slot int) func(int, *Config) {
 		return func(_ int, cfg *Config) {
 			cfg.Inject = injectors[slot]
-			cfg.RepairInterval = 25 * time.Millisecond
 			cfg.RebalanceInterval = 40 * time.Millisecond
-			cfg.AntiEntropyInterval = 10 * time.Minute // driven explicitly at quiesce
-			cfg.DegradedAfter = 1000                   // store chaos must not flip read-only mode
+			cfg.DegradedAfter = 1000 // store chaos must not flip read-only mode
 			tr, cl, prev := trackers[slot], cfg.Cluster, cfg.RunFunc
 			cfg.RunFunc = func(ctx context.Context, spec netcache.RunSpec) (netcache.Result, error) {
 				if key, err := spec.Key(); err == nil {
@@ -604,8 +696,8 @@ func TestClusterChurnSweep(t *testing.T) {
 	waitFor(t, "epoch convergence at quiesce", func() bool {
 		return nodes[0].cl.Epoch() == m3.Epoch && joiner.cl.Epoch() == m3.Epoch
 	})
-	waitFor(t, "handoff queues to drain", func() bool {
-		return nodes[0].st.HandoffDepth()+joiner.st.HandoffDepth() == 0
+	waitFor(t, "owed deliveries to drain", func() bool {
+		return nodes[0].srv.RebalanceStatus().Owed+joiner.srv.RebalanceStatus().Owed == 0
 	})
 	waitFor(t, "rebalance to settle on the survivors", func() bool {
 		for _, n := range live {
@@ -626,10 +718,10 @@ func TestClusterChurnSweep(t *testing.T) {
 	// most once, at the current epoch); everything else is served from the
 	// surviving replicas.
 	sweep("heal pass", 0, len(specs), live)
-	waitFor(t, "anti-entropy to report full replication", func() bool {
-		p0, q0 := nodes[0].srv.AntiEntropyPass(ctx)
-		p1, q1 := joiner.srv.AntiEntropyPass(ctx)
-		return p0+q0+p1+q1 == 0
+	waitFor(t, "a pass on each survivor to find nothing to push", func() bool {
+		m0, _ := nodes[0].srv.RebalancePass(ctx)
+		m1, _ := joiner.srv.RebalancePass(ctx)
+		return m0+m1 == 0
 	})
 
 	// With RF=2 and two survivors, full replication means both hold every
@@ -678,9 +770,9 @@ func TestClusterChurnSweep(t *testing.T) {
 
 // BenchmarkRebalance measures a steady-state rebalance pass over a fixed
 // resident corpus: every key already at its other replica, so the pass is
-// one batched presence check and nothing pushed — the recurring cost of
-// the mover once a ring change has been absorbed. The first (unmeasured)
-// pass pays the actual moves.
+// one digest exchange whose 16 ranges all match and nothing offered — the
+// recurring cost of the pass once a ring change has been absorbed. The
+// first (unmeasured) pass pays the actual moves.
 func BenchmarkRebalance(b *testing.B) {
 	ctx := context.Background()
 	listeners := make([]net.Listener, 2)
@@ -705,12 +797,10 @@ func BenchmarkRebalance(b *testing.B) {
 			b.Fatal(err)
 		}
 		srvs[i] = New(Config{
-			Store:               st,
-			Workers:             2,
-			Cluster:             cl,
-			RepairInterval:      10 * time.Minute,
-			RebalanceInterval:   10 * time.Minute,
-			AntiEntropyInterval: 10 * time.Minute,
+			Store:             st,
+			Workers:           2,
+			Cluster:           cl,
+			RebalanceInterval: 10 * time.Minute,
 		})
 		l := listeners[i]
 		srv := srvs[i]

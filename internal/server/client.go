@@ -473,8 +473,8 @@ func (c *Client) MissingResults(ctx context.Context, keys []string) ([]string, e
 
 // PushResults stores results on the server in one request (POST
 // /v1/results, at most 256 frames) — the replica push of the rebalance
-// mover, hinted-handoff repair and anti-entropy. It returns one outcome per
-// frame, in order; an error means no frame's fate is known.
+// pass. It returns one outcome per frame, in order; an error means no
+// frame's fate is known.
 func (c *Client) PushResults(ctx context.Context, frames []ResultFrame) ([]PushOutcome, error) {
 	raw, err := c.do(ctx, http.MethodPost, "/v1/results", "application/octet-stream", encodeFrames(frames))
 	if err != nil {
@@ -491,7 +491,7 @@ func (c *Client) PushResults(ctx context.Context, frames []ResultFrame) ([]PushO
 }
 
 // ClusterStatus fetches /v1/cluster: ring parameters, per-peer health, and
-// the handoff backlog.
+// the replica-repair status.
 func (c *Client) ClusterStatus(ctx context.Context) (ClusterResponse, error) {
 	raw, err := c.get(ctx, "/v1/cluster")
 	if err != nil {
@@ -541,31 +541,16 @@ func (c *Client) offerMembership(ctx context.Context, m cluster.Membership) erro
 	return err
 }
 
-// rangeDigest fetches the peer's digest of one anti-entropy key range,
-// restricted to keys both asker and peer replicate.
-func (c *Client) rangeDigest(ctx context.Context, rng int, asker string) (DigestResponse, error) {
-	raw, err := c.get(ctx, fmt.Sprintf("/v1/cluster/digest?range=%d&peer=%s", rng, url.QueryEscape(asker)))
+// rangeDigests fetches the peer's per-range digests of the keys both it
+// and asker replicate.
+func (c *Client) rangeDigests(ctx context.Context, asker string) (DigestResponse, error) {
+	raw, err := c.get(ctx, "/v1/cluster/digest?peer="+url.QueryEscape(asker))
 	if err != nil {
 		return DigestResponse{}, err
 	}
 	var resp DigestResponse
 	if err := json.Unmarshal(raw, &resp); err != nil {
 		return DigestResponse{}, fmt.Errorf("netcached: decoding digest: %w", err)
-	}
-	return resp, nil
-}
-
-// rangeKeys fetches the peer's key list for one anti-entropy range, same
-// restriction as rangeDigest — the expensive half, fetched only on digest
-// mismatch.
-func (c *Client) rangeKeys(ctx context.Context, rng int, asker string) (KeysResponse, error) {
-	raw, err := c.get(ctx, fmt.Sprintf("/v1/cluster/keys?range=%d&peer=%s", rng, url.QueryEscape(asker)))
-	if err != nil {
-		return KeysResponse{}, err
-	}
-	var resp KeysResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return KeysResponse{}, fmt.Errorf("netcached: decoding keys: %w", err)
 	}
 	return resp, nil
 }

@@ -158,106 +158,6 @@ func (s *Server) storeFill(key string, body []byte) {
 	}
 }
 
-// hintHandoff enqueues a hinted handoff: key was recomputed here because
-// its owner was unreachable; the repair loop pushes it home later.
-func (s *Server) hintHandoff(key string) {
-	cl := s.cfg.Cluster
-	if cl == nil || s.cfg.Store == nil {
-		return
-	}
-	owner := cl.Owner(key)
-	if owner == cl.Self() {
-		return
-	}
-	if err := s.cfg.Store.HandoffAdd(key, owner); err != nil {
-		s.cfg.Log.Printf("handoff hint %s -> %s: %v", key[:8], owner, err)
-		return
-	}
-	s.m.add(&s.m.handoffQueued)
-}
-
-// startRepair launches the handoff repair loop.
-func (s *Server) startRepair() {
-	interval := s.cfg.RepairInterval
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	s.repairStop = make(chan struct{})
-	s.repairDone = make(chan struct{})
-	go func() {
-		defer close(s.repairDone)
-		// Jittered ±25%: replicas restarted together must not replay their
-		// handoff queues against the same recovered owner in lockstep.
-		t := time.NewTimer(jitter(interval))
-		defer t.Stop()
-		for {
-			select {
-			case <-s.repairStop:
-				return
-			case <-t.C:
-				s.RepairHandoffs(s.base)
-				t.Reset(jitter(interval))
-			}
-		}
-	}()
-}
-
-// stopRepair stops the repair loop, if running. Idempotent.
-func (s *Server) stopRepair() {
-	if s.repairStop == nil {
-		return
-	}
-	s.repairOnce.Do(func() { close(s.repairStop) })
-	<-s.repairDone
-}
-
-// RepairHandoffs replays pending hinted handoffs whose owner is reachable:
-// hints are grouped by owner and their keys moved home through transfer —
-// one presence check and one push per batch. A hint is dropped once its
-// key is stored at the owner or already present there, and when the local
-// value is gone (evicted before the owner recovered: recomputable, so the
-// hint is moot). It returns how many hints were pushed. The background
-// loop calls it every RepairInterval; tests and operators may force a
-// pass.
-func (s *Server) RepairHandoffs(ctx context.Context) (pushed int) {
-	st, cl := s.cfg.Store, s.cfg.Cluster
-	if st == nil || cl == nil {
-		return 0
-	}
-	byOwner := make(map[string][]string)
-	for _, e := range st.HandoffPending() {
-		if e.Owner == cl.Self() || !cl.Member(e.Owner) {
-			// Our own key (ring view healed) or a peer no longer in the
-			// set: the hint is stale, the local copy is already served.
-			st.HandoffRemove(e.Key)
-			continue
-		}
-		byOwner[e.Owner] = append(byOwner[e.Owner], e.Key)
-	}
-	for _, owner := range sortedKeys(byOwner) {
-		if ctx.Err() != nil {
-			return pushed
-		}
-		if !cl.Up(owner) {
-			continue // still down; keep the hints
-		}
-		keys := byOwner[owner]
-		for i, o := range s.transfer(ctx, "handoff", owner, keys, nil) {
-			switch o {
-			case transferStored:
-				s.m.add(&s.m.handoffPushed)
-				pushed++
-			case transferPresent:
-				s.m.add(&s.m.handoffReaped)
-			case transferFailed:
-				continue // keep the hint for the next pass
-			}
-			st.HandoffRemove(keys[i])
-		}
-	}
-	return pushed
-}
-
 // --- cluster endpoints ------------------------------------------------------
 
 // validResultKey accepts hex SHA-256 strings, mirroring the store's own
@@ -279,7 +179,7 @@ func validResultKey(key string) bool {
 const maxPushBytes = 64 << 20
 
 // handleResult serves GET /v1/result/{key}: a store-only lookup that never
-// simulates — the upstream read-through and anti-entropy pull primitive.
+// simulates — the upstream read-through primitive.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeError(w, "/v1/result", http.StatusMethodNotAllowed, "GET only")
@@ -320,20 +220,15 @@ type ClusterResponse struct {
 	Epoch uint64 `json:"epoch"`
 	Left  bool   `json:"left,omitempty"`
 
-	// HandoffDepth counts queued hinted handoffs; HandoffAgeSeconds is the
-	// oldest hint's age — together the repair loop's backlog signal.
-	HandoffDepth      int     `json:"handoff_depth"`
-	HandoffAgeSeconds float64 `json:"handoff_age_seconds"`
-
-	// Rebalance and AntiEntropy summarize the churn-repair machinery; a
-	// draining node is safe to stop once Rebalance.Done holds at the epoch
+	// Rebalance is the replica-repair status: Owed is the backlog signal,
+	// and a draining node is safe to stop once Done holds at the epoch
 	// that decommissioned it.
-	Rebalance   *RebalanceStatus   `json:"rebalance,omitempty"`
-	AntiEntropy *AntiEntropyStatus `json:"anti_entropy,omitempty"`
+	Rebalance *RebalanceStatus `json:"rebalance,omitempty"`
 }
 
 // handleCluster serves GET /v1/cluster: ring parameters, per-peer health,
-// and handoff backlog. On a non-clustered server it reports enabled=false.
+// and replica-repair status. On a non-clustered server it reports
+// enabled=false.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeError(w, "/v1/cluster", http.StatusMethodNotAllowed, "GET only")
@@ -350,15 +245,9 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		resp.Left = cl.Left()
 		reb := s.RebalanceStatus()
 		resp.Rebalance = &reb
-		ae := s.AntiEntropyStatus()
-		resp.AntiEntropy = &ae
 	}
 	if s.cfg.Upstream != nil {
 		resp.Upstream = s.cfg.Upstream.BaseURL
-	}
-	if s.cfg.Store != nil {
-		resp.HandoffDepth = s.cfg.Store.HandoffDepth()
-		resp.HandoffAgeSeconds = s.cfg.Store.HandoffAge().Seconds()
 	}
 	s.m.request("/v1/cluster", http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")

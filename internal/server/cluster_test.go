@@ -20,7 +20,7 @@ import (
 )
 
 // cnode is one in-process cluster member: a full server stack (store,
-// cluster view, probe + repair loops) listening on a real loopback socket.
+// cluster view, probe + rebalance loops) listening on a real loopback socket.
 type cnode struct {
 	url  string
 	dir  string // store directory; survives restarts
@@ -53,7 +53,7 @@ func (n *cnode) stop(t *testing.T) {
 }
 
 // bootClusterNode builds and starts member i of the peer set on l. The
-// probe/repair intervals are test-fast, and the inter-node transport uses
+// probe/rebalance intervals are test-fast, and the inter-node transport uses
 // short retries so a dead peer costs milliseconds, not the default backoff.
 // fsys (nil = the real filesystem) lets churn tests arm store-level chaos.
 func bootClusterNode(t *testing.T, urls []string, i int, dir string, fsys store.FS, l net.Listener, rf int, mutate func(int, *Config)) *cnode {
@@ -74,11 +74,11 @@ func bootClusterNode(t *testing.T, urls []string, i int, dir string, fsys store.
 	}
 	sims := &atomic.Int32{}
 	cfg := Config{
-		Store:          st,
-		Workers:        2,
-		RunFunc:        countingRun(sims),
-		Cluster:        cl,
-		RepairInterval: 25 * time.Millisecond,
+		Store:             st,
+		Workers:           2,
+		RunFunc:           countingRun(sims),
+		Cluster:           cl,
+		RebalanceInterval: 25 * time.Millisecond,
 		Internode: func(peer string) *Client {
 			return &Client{
 				BaseURL: peer,
@@ -256,8 +256,8 @@ func TestClusterSweepExactlyOnce(t *testing.T) {
 		if v := metricValue(t, text, "netcached_cluster_fallback_recomputes_total"); v != 0 {
 			t.Fatalf("node %s fell back to recompute %d times in a healthy cluster", n.url, v)
 		}
-		if v := metricValue(t, text, "netcached_cluster_handoff_depth"); v != 0 {
-			t.Fatalf("node %s queued %d handoffs in a healthy cluster", n.url, v)
+		if v := metricValue(t, text, "netcached_cluster_rebalance_owed"); v != 0 {
+			t.Fatalf("node %s owes %d deliveries in a healthy cluster", n.url, v)
 		}
 	}
 	if gotProxies != int64(wantProxies) {
@@ -304,9 +304,9 @@ func TestClusterSweepExactlyOnce(t *testing.T) {
 // with the chaos injector armed on every node's HTTP layer: a 12x4 sweep
 // starts against a healthy 3-node cluster, one member is killed mid-sweep,
 // the survivors complete the sweep byte-identically via recompute fallback
-// (hinting the dead owner's keys), and once the member returns the hinted
-// handoff queue drains to zero and the revived node serves its pushed keys
-// without simulating.
+// and owe the dead owner each of its keys they hold, and once the member
+// returns the owed count falls to zero and the revived node serves its
+// pushed keys without simulating.
 func TestClusterPartitionFlap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("partition flap runs the full figure corpus; skipped in -short")
@@ -346,7 +346,7 @@ func TestClusterPartitionFlap(t *testing.T) {
 	nodes[victim].stop(t)
 
 	// Phase 2: survivors finish the sweep. Keys owned by the victim are
-	// recomputed locally and hinted for handoff.
+	// recomputed locally and owed to it.
 	var hinted []int
 	for i := half; i < len(specs); i++ {
 		entry := nodes[i%2].c // round-robin over the two survivors
@@ -364,17 +364,27 @@ func TestClusterPartitionFlap(t *testing.T) {
 	if len(hinted) == 0 {
 		t.Fatal("ring assigned the victim no phase-2 keys; partition exercised nothing")
 	}
-	depth := nodes[0].st.HandoffDepth() + nodes[1].st.HandoffDepth()
-	if depth != len(hinted) {
-		t.Fatalf("handoff depth across survivors = %d, want %d", depth, len(hinted))
+	// Each survivor owes the victim exactly the victim-owned keys in its
+	// store: the phase-2 recomputes plus its phase-1 read-through fills.
+	for _, n := range nodes[:victim] {
+		want := 0
+		for _, key := range n.st.Keys() {
+			if n.cl.Owner(key) == nodes[victim].url {
+				want++
+			}
+		}
+		waitFor(t, fmt.Sprintf("%s to owe the victim %d keys", n.url, want), func() bool {
+			return n.srv.RebalanceStatus().Owed == uint64(want)
+		})
 	}
 
 	// Flap back: the victim returns on the same address with its old store.
 	revived := restartNode(t, nodes, victim, 1, chaos)
 
-	// Probes revive the peer, the repair loops push every hint home.
-	waitFor(t, "handoff queue drain", func() bool {
-		return nodes[0].st.HandoffDepth()+nodes[1].st.HandoffDepth() == 0
+	// Probes revive the peer, and the rebalance passes deliver every key
+	// owed to it.
+	waitFor(t, "owed deliveries to drain", func() bool {
+		return nodes[0].srv.RebalanceStatus().Owed+nodes[1].srv.RebalanceStatus().Owed == 0
 	})
 	for _, i := range hinted {
 		if body, ok := revived.st.Get(keys[i]); !ok {
@@ -420,7 +430,7 @@ func TestClusterPartitionFlap(t *testing.T) {
 // proxy), and only a non-replica proxies.
 func TestClusterReplicationServesLocally(t *testing.T) {
 	ctx := context.Background()
-	nodes := startCluster(t, 3, 2, nil)
+	nodes := startCluster(t, 3, 2, manualLoops)
 	spec := netcache.RunSpec{App: "sor", System: netcache.SystemNetCache, Scale: 0.05}
 	key, err := spec.Key()
 	if err != nil {

@@ -31,18 +31,12 @@ type metrics struct {
 	clusterProxied    map[string]uint64 // peer -> misses answered by that peer
 	clusterProxyFails map[string]uint64 // peer -> proxy attempts that failed over
 	clusterFallbacks  uint64            // replicas unreachable -> recomputed locally
-	handoffQueued     uint64            // hinted handoffs enqueued
-	handoffPushed     uint64            // hints pushed home by the repair loop
-	handoffReceived   uint64            // handoff pushes accepted from peers
-	handoffReaped     uint64            // hints dropped because the owner already held the key
 	membershipSyncs   uint64            // memberships adopted via epoch-gossip pulls
-	rebalancePasses   uint64            // rebalance walks started
-	rebalanceMoved    uint64            // keys streamed to a new replica
-	rebalanceSkipped  uint64            // keys the destination already had
+	rebalancePasses   uint64            // rebalance passes started
+	rebalanceMoved    uint64            // keys pushed to a replica that lacked them
+	rebalanceSkipped  uint64            // keys the replica already had
 	rebalanceErrors   uint64            // failed rebalance pushes/reads (retried next pass)
-	antiEntropyPasses uint64            // anti-entropy sweeps completed
-	antiEntropyPulled uint64            // keys pulled from a peer during repair
-	antiEntropyPushed uint64            // keys pushed to a peer during repair
+	rebalanceReceived uint64            // keys stored from peers' rebalance pushes
 	upstreamHits      uint64            // upstream read-through hits
 	upstreamMisses    uint64            // upstream lookups that missed
 	upstreamErrors    uint64            // upstream lookups that failed
@@ -99,9 +93,9 @@ func (m *metrics) render(b *strings.Builder, s *Server, degraded bool) {
 	// Cluster state is snapshotted before taking m.mu: the cluster has its
 	// own lock, and lock-ordering discipline is cheaper than a deadlock.
 	var peerStatus []clusterPeerGauge
-	handoffDepth := -1
 	var epoch uint64
 	var left, rebalDone int64
+	rebal := s.RebalanceStatus()
 	if cl := s.cfg.Cluster; cl != nil {
 		for _, ps := range cl.Status() {
 			up := int64(0)
@@ -110,14 +104,11 @@ func (m *metrics) render(b *strings.Builder, s *Server, degraded bool) {
 			}
 			peerStatus = append(peerStatus, clusterPeerGauge{ps.URL, up})
 		}
-		if st != nil {
-			handoffDepth = st.HandoffDepth()
-		}
 		epoch = cl.Epoch()
 		if cl.Left() {
 			left = 1
 		}
-		if s.RebalanceStatus().Done {
+		if rebal.Done {
 			rebalDone = 1
 		}
 	}
@@ -198,24 +189,16 @@ func (m *metrics) render(b *strings.Builder, s *Server, degraded bool) {
 			"Proxy attempts that failed over to the next replica or to local recompute, by peer.", m.clusterProxyFails)
 		counter("netcached_cluster_fallback_recomputes_total",
 			"Misses recomputed locally because every replica was unreachable.", m.clusterFallbacks)
-		counter("netcached_cluster_handoff_enqueued_total", "Hinted handoffs enqueued after fallback recomputes.", m.handoffQueued)
-		counter("netcached_cluster_handoff_pushed_total", "Hints pushed home by the repair loop.", m.handoffPushed)
-		counter("netcached_cluster_handoff_received_total", "Handoff pushes accepted from peers.", m.handoffReceived)
-		counter("netcached_cluster_handoff_reaped_total", "Hints dropped because the owner already held the key.", m.handoffReaped)
-		if handoffDepth >= 0 {
-			gauge("netcached_cluster_handoff_depth", "Hinted handoffs queued for unreachable owners.", int64(handoffDepth))
-		}
 		gauge("netcached_cluster_epoch", "Membership epoch this node currently routes with.", int64(epoch))
 		gauge("netcached_cluster_left", "1 after this node is decommissioned out of the membership (draining), else 0.", left)
 		counter("netcached_cluster_membership_syncs_total", "Memberships adopted via epoch-gossip pulls.", m.membershipSyncs)
-		counter("netcached_cluster_rebalance_passes_total", "Rebalance walks started.", m.rebalancePasses)
-		counter("netcached_cluster_rebalance_moved_total", "Keys streamed to a new replica by the rebalance mover.", m.rebalanceMoved)
-		counter("netcached_cluster_rebalance_skipped_total", "Rebalance pushes skipped because the destination already held the key.", m.rebalanceSkipped)
+		counter("netcached_cluster_rebalance_passes_total", "Rebalance passes started.", m.rebalancePasses)
+		counter("netcached_cluster_rebalance_moved_total", "Keys pushed by the rebalance pass to a replica that lacked them.", m.rebalanceMoved)
+		counter("netcached_cluster_rebalance_skipped_total", "Keys the rebalance pass offered to a replica that already held them.", m.rebalanceSkipped)
 		counter("netcached_cluster_rebalance_errors_total", "Failed rebalance reads/pushes, retried on the next pass.", m.rebalanceErrors)
-		gauge("netcached_cluster_rebalance_done", "1 while the last rebalance walk completed cleanly at the current epoch, else 0.", rebalDone)
-		counter("netcached_cluster_antientropy_passes_total", "Anti-entropy sweeps completed.", m.antiEntropyPasses)
-		counter("netcached_cluster_antientropy_pulled_total", "Keys pulled from a peer by anti-entropy repair.", m.antiEntropyPulled)
-		counter("netcached_cluster_antientropy_pushed_total", "Keys pushed to a peer by anti-entropy repair.", m.antiEntropyPushed)
+		counter("netcached_cluster_rebalance_received_total", "Keys stored from peers' rebalance pushes.", m.rebalanceReceived)
+		gauge("netcached_cluster_rebalance_done", "1 while the last rebalance pass completed with nothing owed at the current epoch, else 0.", rebalDone)
+		gauge("netcached_cluster_rebalance_owed", "Key deliveries the last completed rebalance pass left undone.", int64(rebal.Owed))
 	}
 	if s.cfg.Upstream != nil {
 		counter("netcached_upstream_hits_total", "Misses answered by the read-through upstream tier.", m.upstreamHits)

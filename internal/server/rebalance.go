@@ -2,58 +2,99 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"slices"
-	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"netcache/internal/cluster"
 )
 
-// Streaming rebalance.
+// Replica repair: the rebalance pass.
 //
-// When a membership change moves part of the key space, the keys do not
-// teleport: the nodes that hold them stream them to their new replicas in
-// the background, a chunk of keys at a time through transfer — the same
-// batched presence check and push that hinted-handoff repair and
-// anti-entropy use, safe to issue unconditionally because values are
-// content-addressed and immutable. The walk is rate-limited, checkpointed
-// through the store's persisted cursor once per cleanly delivered chunk
-// (crash mid-rebalance resumes instead of restarting, and never past a key
-// that failed), and aborts as soon as a newer epoch is adopted (the
-// wake-up that follows restarts it against the new ring).
+// One rule holds the cluster's stores together: every key a node holds is
+// present on every node in replicas(key, epoch). A single pass restores it
+// after anything that breaks it — a membership change that moves arcs, a
+// fallback recompute or read-through fill on a non-replica, a failed push,
+// a replica that was down. Values are content-addressed, so every fill is
+// unconditional and the pass needs no ordering and no record of why a key
+// is owed: a stored key outside this node's replica set is owed to that
+// set, and a key both nodes replicate is owed to the peer when the peer's
+// digest of its key range differs from ours. Each holder pushes what it
+// has, so nothing pulls.
 //
-// Decommission rides the same path: a node that observes it has left the
-// membership (cluster.Left) is no longer a replica for anything, so the
-// very same walk drains its entire store to the new owners — drain-then-
-// leave, with RebalanceStatus.Done signalling the operator it is safe to
-// stop the process.
+// For each key range (first hex nibble) and each ring peer p, the pass
+// hands transfer the local keys whose replica set includes p:
+//   - keys this node does not replicate, every pass: fallback recomputes,
+//     read-through fills, keys that moved away, and a draining node's
+//     whole store;
+//   - keys both nodes replicate, only when p's digest for the range
+//     differs. One GET /v1/cluster/digest per peer returns all 16, and a
+//     digest from another epoch, or none at all, counts as different.
 //
-// A pass is best-effort by design: down targets and failed pushes are
-// retried on the next pass, and the anti-entropy sweep heals anything a
-// crashed or interrupted pass missed.
+// One loop runs the pass. A membership adoption, a peer coming back up
+// and the -rebalance-interval timer wake it; the timer doubles as the
+// retry schedule. Pushes are paced by -rebalance-rate. Progress persists
+// as the store's cursor, which advances past whole ranges and only while
+// the pass has left nothing undone, so a crash resumes at or before the
+// first failure. A pass stops as soon as a newer epoch is adopted; the
+// adoption's wake restarts it against the new ring.
+//
+// Decommission needs nothing extra: a node that has left the membership
+// replicates nothing, so the same pass drains its entire store to the new
+// owners, and RebalanceStatus.Done tells the operator it is safe to stop
+// the process.
 
-// RebalanceStatus is one node's rebalance progress, exposed on
+// keyRanges buckets keys by their first hex nibble.
+const keyRanges = 16
+
+// RangeDigest summarizes a set of keys in one range: its size and the XOR
+// of each key's first 64 bits. SHA-256 keys are uniformly distributed, so
+// a single-key difference always shows.
+type RangeDigest struct {
+	Count int    `json:"count"`
+	XOR   uint64 `json:"xor,string"`
+}
+
+func (d *RangeDigest) add(key string) {
+	v, _ := strconv.ParseUint(key[:16], 16, 64)
+	d.Count++
+	d.XOR ^= v
+}
+
+// DigestResponse is the GET /v1/cluster/digest body: per key range, the
+// digest of the resident keys both the answering node and the asking
+// peer replicate, valid only at Epoch.
+type DigestResponse struct {
+	Epoch  uint64                 `json:"epoch"`
+	Ranges [keyRanges]RangeDigest `json:"ranges"`
+}
+
+// RebalanceStatus is one node's replica-repair progress, exposed on
 // GET /v1/cluster.
 type RebalanceStatus struct {
-	// Epoch is the membership epoch the last (or current) walk priced
+	// Epoch is the membership epoch the last (or current) pass priced
 	// keys against.
 	Epoch uint64 `json:"epoch"`
-	// Done reports that a full walk at Epoch completed with zero errors —
+	// Done reports that a full pass at Epoch completed with nothing owed:
 	// every key this node holds is present on every replica that should
-	// hold it (as far as this node can see). A draining node with Done set
+	// hold it, as far as this node can see. A draining node with Done set
 	// has finished handing off and can be stopped.
 	Done bool `json:"done"`
-	// Moved counts keys pushed to a new replica; Skipped counts keys the
-	// destination already had; Errors counts failed pushes (retried on the
-	// next pass).
+	// Owed counts the key deliveries the last completed pass left undone:
+	// failed pushes, and keys owed to replicas that were down.
+	Owed uint64 `json:"owed"`
+	// Moved counts keys pushed to a replica; Skipped counts keys the
+	// replica already had; Errors sums Owed over the completed passes at
+	// Epoch.
 	Moved   uint64 `json:"moved"`
 	Skipped uint64 `json:"skipped"`
 	Errors  uint64 `json:"errors"`
 }
 
-// startRebalance launches the background mover: woken by every membership
-// adoption and by a periodic timer (which doubles as the retry schedule
-// for passes that ended with errors).
+// startRebalance launches the loop that runs the pass.
 func (s *Server) startRebalance() {
 	interval := s.cfg.RebalanceInterval
 	if interval <= 0 {
@@ -62,12 +103,14 @@ func (s *Server) startRebalance() {
 	s.rebalStop = make(chan struct{})
 	s.rebalDone = make(chan struct{})
 	s.rebalWake = make(chan struct{}, 1)
-	s.cfg.Cluster.OnChange(func(cluster.Membership) {
+	wake := func() {
 		select {
 		case s.rebalWake <- struct{}{}:
 		default:
 		}
-	})
+	}
+	s.cfg.Cluster.OnChange(func(cluster.Membership) { wake() })
+	s.cfg.Cluster.OnPeerUp(func(string) { wake() })
 	go func() {
 		defer close(s.rebalDone)
 		t := time.NewTimer(jitter(interval))
@@ -94,7 +137,7 @@ func (s *Server) startRebalance() {
 	}()
 }
 
-// stopRebalance stops the mover, if running. Idempotent.
+// stopRebalance stops the loop, if running. Idempotent.
 func (s *Server) stopRebalance() {
 	if s.rebalStop == nil {
 		return
@@ -103,52 +146,106 @@ func (s *Server) stopRebalance() {
 	<-s.rebalDone
 }
 
-// RebalanceStatus snapshots the mover's progress.
+// RebalanceStatus snapshots the pass's progress.
 func (s *Server) RebalanceStatus() RebalanceStatus {
 	s.rebalMu.Lock()
 	defer s.rebalMu.Unlock()
 	return s.rebal
 }
 
-// RebalancePass walks every locally resident key and pushes the ones whose
-// replica set gained members (or lost this node) to the replicas that lack
-// them. It prices every key against one consistent ring snapshot, a
-// transferBatchKeys chunk at a time: each chunk's keys are grouped by
-// destination and moved through transfer. The pass aborts early when a
-// newer epoch lands mid-walk — the adoption's wake-up restarts it against
-// the new ring. It returns how many keys were pushed and how many the
-// destinations already had. The background mover calls it on every
-// membership change; tests and operators may force a pass.
+// rangeWork is what this node holds for one peer in one key range.
+type rangeWork struct {
+	always []string    // keys this node does not replicate
+	shared []string    // keys both replicate
+	digest RangeDigest // of shared
+}
+
+// planPass prices sorted keys from range first on against ring: per peer
+// in some key's replica set, per range, the keys that peer should hold.
+func planPass(keys []string, ring *cluster.Ring, rf int, self string, first int) map[string]*[keyRanges]rangeWork {
+	out := make(map[string]*[keyRanges]rangeWork)
+	start, _ := slices.BinarySearch(keys, rangeEnd(first-1))
+	for _, key := range keys[start:] {
+		r := keyRange(key)
+		reps := ring.Replicas(key, rf)
+		mine := slices.Contains(reps, self)
+		for _, peer := range reps {
+			if peer == self {
+				continue
+			}
+			w := out[peer]
+			if w == nil {
+				w = new([keyRanges]rangeWork)
+				out[peer] = w
+			}
+			if mine {
+				w[r].shared = append(w[r].shared, key)
+				w[r].digest.add(key)
+			} else {
+				w[r].always = append(w[r].always, key)
+			}
+		}
+	}
+	return out
+}
+
+// RebalancePass makes every local key present on every replica that
+// should hold it under the current ring, range by range and peer by peer,
+// through transfer. It returns how many keys it pushed and how many the
+// replicas already had. Passes run one at a time; the loop runs one on
+// every wake, and tests and operators may force one.
 func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 	st, cl := s.cfg.Store, s.cfg.Cluster
 	if st == nil || cl == nil {
 		return 0, 0
 	}
+	s.passMu.Lock()
+	defer s.passMu.Unlock()
 	epoch, ring := cl.View()
-	prevEpoch, prev := cl.PrevView()
-	rf := cl.Replication()
 	self := cl.Self()
 
 	// Resume after the persisted cursor if it matches this epoch; a cursor
-	// from an older epoch is stale (that walk priced keys against a ring
-	// that no longer routes) and is discarded.
-	keys := st.Keys()
-	if ce, after, ok := st.RebalanceCursor(); ok && ce == epoch {
-		keys = keys[sort.Search(len(keys), func(i int) bool { return keys[i] > after }):]
+	// from an older epoch priced keys against a ring that no longer routes.
+	first := 0
+	if ce, after, ok := st.RebalanceCursor(); ok && ce == epoch && validResultKey(after) {
+		first = keyRange(after) + 1
 	}
+	work := planPass(st.Keys(), ring, cl.Replication(), self, first)
+	peers := make([]string, 0, len(work))
+	for peer := range work {
+		peers = append(peers, peer)
+	}
+	slices.Sort(peers)
 
-	// A new epoch starts the status from scratch; a re-walk at the same
-	// epoch keeps the published state (cumulative counters and, crucially,
-	// the Done flag from the last completed walk) — otherwise a retry pass
-	// that is slower than the poll interval makes a drained node flicker
-	// back to "not drained" and an operator watching /v1/cluster can miss
-	// the drain-complete signal entirely.
+	// A new epoch starts the status from scratch, keeping only the last
+	// completed pass's Owed; a re-walk at the same epoch keeps the
+	// published state, so a drained node's Done does not flicker off while
+	// a retry pass runs.
 	s.rebalMu.Lock()
 	if s.rebal.Epoch != epoch {
-		s.rebal = RebalanceStatus{Epoch: epoch}
+		s.rebal = RebalanceStatus{Epoch: epoch, Owed: s.rebal.Owed}
 	}
 	s.rebalMu.Unlock()
 	s.m.add(&s.m.rebalancePasses)
+
+	// One digest exchange per live peer that shares keys with us. A peer
+	// without a usable digest gets every shared key offered; the presence
+	// check inside transfer then sends only what it lacks.
+	remote := make(map[string]*DigestResponse)
+	for _, peer := range peers {
+		shares := slices.ContainsFunc(work[peer][:], func(w rangeWork) bool { return len(w.shared) > 0 })
+		if !shares || !cl.Up(peer) {
+			continue
+		}
+		d, err := s.peerClient(peer).rangeDigests(ctx, self)
+		if err != nil {
+			s.cfg.Log.Printf("rebalance: digest %s: %v", peer, err)
+			continue
+		}
+		if d.Epoch == epoch {
+			remote[peer] = &d
+		}
+	}
 
 	var perKeyDelay time.Duration
 	if s.cfg.RebalanceRate > 0 {
@@ -169,40 +266,27 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 		return current()
 	}
 
-	errored := 0
-	for start := 0; start < len(keys); start += transferBatchKeys {
-		if !current() {
-			return moved, skipped // shutdown, or a newer ring whose wake-up restarts us
-		}
-		chunk := keys[start:min(start+transferBatchKeys, len(keys))]
-		byPeer := make(map[string][]string)
-		for _, key := range chunk {
-			targets := ring.Replicas(key, rf)
-			// Fast skip: when the previous ring is known and this key's
-			// replica set did not move, there is nothing to stream — the
-			// common case, since consistent hashing remaps only the churned
-			// peers' share.
-			if slices.Contains(targets, self) && prev != nil && prevEpoch < epoch && slices.Equal(prev.Replicas(key, rf), targets) {
+	owed := 0
+	for r := first; r < keyRanges; r++ {
+		sent := false
+		for _, peer := range peers {
+			w := &work[peer][r]
+			keys := w.always
+			if d := remote[peer]; d == nil || d.Ranges[r] != w.digest {
+				keys = slices.Concat(w.always, w.shared)
+			}
+			if len(keys) == 0 {
 				continue
 			}
-			for _, peer := range targets {
-				if peer == self {
-					continue
-				}
-				if !cl.Up(peer) {
-					// Down target: the push would only burn the retry
-					// budget. Count it as an error so this pass is not Done
-					// and the periodic retry (or anti-entropy) finishes the
-					// job.
-					errored++
-					continue
-				}
-				byPeer[peer] = append(byPeer[peer], key)
+			if !cl.Up(peer) {
+				// A down replica: pushing would only burn the retry budget.
+				// Its recovery wakes the loop.
+				owed += len(keys)
+				continue
 			}
-		}
-		for _, peer := range sortedKeys(byPeer) {
-			var failed int
-			for _, o := range s.transfer(ctx, "rebalance", peer, byPeer[peer], afterPush) {
+			sent = true
+			failed := 0
+			for _, o := range s.transfer(ctx, "rebalance", peer, keys, afterPush) {
 				switch o {
 				case transferStored:
 					moved++
@@ -218,36 +302,83 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 					failed++
 				}
 			}
-			errored += failed
+			owed += failed
 			s.m.addN(&s.m.rebalanceErrors, failed)
 			if !current() {
-				return moved, skipped
+				return moved, skipped // shutdown, or a newer ring whose wake restarts us
 			}
 		}
-		// Checkpoint only a clean prefix: once any key of this pass failed,
-		// the cursor stays put, so a pass interrupted later still resumes at
+		// Checkpoint only a clean prefix: once any delivery of this pass is
+		// owed, the cursor stays put, so a pass interrupted later resumes at
 		// or before the failure instead of past it.
-		if errored == 0 {
-			st.SetRebalanceCursor(epoch, chunk[len(chunk)-1])
+		if sent && owed == 0 {
+			st.SetRebalanceCursor(epoch, rangeEnd(r))
 		}
 	}
 
-	// Full walk completed. With zero errors the walk is done for this
-	// epoch and the cursor is retired; with errors the cursor is cleared
-	// too — the next pass re-walks from the top (cheap: unchanged keys
-	// fast-skip, delivered keys come back present from the presence check)
-	// and retries the failures.
+	// Full walk completed: the cursor is retired either way, and the next
+	// pass walks from the top and retries whatever is owed.
 	st.ClearRebalanceCursor()
 	s.rebalMu.Lock()
 	if s.rebal.Epoch == epoch {
-		s.rebal.Done = errored == 0
+		s.rebal.Done = owed == 0
+		s.rebal.Owed = uint64(owed)
 		s.rebal.Moved += uint64(moved)
 		s.rebal.Skipped += uint64(skipped)
-		s.rebal.Errors += uint64(errored)
+		s.rebal.Errors += uint64(owed)
 	}
 	s.rebalMu.Unlock()
-	if moved > 0 || errored > 0 {
-		s.cfg.Log.Printf("rebalance: epoch %d pass: %d moved, %d already present, %d errors", epoch, moved, skipped, errored)
+	if moved > 0 || owed > 0 {
+		s.cfg.Log.Printf("rebalance: epoch %d pass: %d moved, %d already present, %d owed", epoch, moved, skipped, owed)
 	}
 	return moved, skipped
+}
+
+// keyRange returns the range of a hex key: its first nibble.
+func keyRange(key string) int {
+	c := key[0]
+	if c >= 'a' {
+		return int(c-'a') + 10
+	}
+	return int(c - '0')
+}
+
+// rangeEnd is the greatest key of range r, so every key of ranges up to r
+// sorts at or below it; rangeEnd(-1) sorts below every key.
+func rangeEnd(r int) string {
+	if r < 0 {
+		return ""
+	}
+	return "0123456789abcdef"[r:r+1] + strings.Repeat("f", 63)
+}
+
+// handleDigest serves GET /v1/cluster/digest?peer=P: per key range, the
+// digest of this node's resident keys that both it and P replicate.
+// Chaos-exempt, like the other introspection endpoints.
+func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
+	const path = "/v1/cluster/digest"
+	if r.Method != http.MethodGet {
+		s.writeError(w, path, http.StatusMethodNotAllowed, "GET only")
+		return
+	}
+	cl := s.cfg.Cluster
+	if cl == nil || s.cfg.Store == nil {
+		s.writeError(w, path, http.StatusNotFound, "not clustered")
+		return
+	}
+	peer := r.URL.Query().Get("peer")
+	if peer == "" {
+		s.writeError(w, path, http.StatusBadRequest, "peer is required")
+		return
+	}
+	epoch, ring := cl.View()
+	resp := DigestResponse{Epoch: epoch}
+	if work := planPass(s.cfg.Store.Keys(), ring, cl.Replication(), cl.Self(), 0)[peer]; work != nil {
+		for i := range work {
+			resp.Ranges[i] = work[i].digest
+		}
+	}
+	s.m.request(path, http.StatusOK)
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(resp)
 }

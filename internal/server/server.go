@@ -20,17 +20,21 @@
 // With a cluster configured (internal/cluster), N servers form one logical
 // store: a non-owner first checks its local store, then proxies the miss to
 // the key's owner over the resilient inter-node client, and — when every
-// replica is unreachable — recomputes deterministically, leaving a hinted
-// handoff that a background repair loop pushes to the owner once it
-// recovers. An optional upstream tier is consulted read-through before
-// simulating, so a local cluster can chain behind a regional one.
+// replica is unreachable — recomputes deterministically. One background
+// rebalance pass keeps every stored key on its replicas: it pushes keys
+// this node holds but does not replicate (fallback recomputes, read-through
+// fills, keys a membership change moved away) to their replicas, and keys
+// it shares with a peer whenever their range digests differ. An optional
+// upstream tier is consulted read-through before simulating, so a local
+// cluster can chain behind a regional one.
 //
 // Endpoints: POST /v1/run, POST /v1/batch, GET /v1/apps, GET /v1/stats
 // (per-tier store occupancy and maintenance counters as JSON), GET
 // /v1/result/{key} (store-only lookup), POST /v1/results/missing and POST
 // /v1/results (replica presence check and multi-key push), GET /v1/cluster
-// (ring + peer health + handoff introspection), GET /healthz, GET /metrics
-// (Prometheus text format).
+// (ring + peer health + replica-repair status), GET /v1/cluster/membership,
+// GET /v1/cluster/digest (per-range replica digests), GET /healthz, GET
+// /metrics (Prometheus text format).
 package server
 
 import (
@@ -94,9 +98,9 @@ type Config struct {
 
 	// Cluster, when non-nil, makes this server one node of a
 	// consistent-hash cluster: misses on keys owned elsewhere are proxied
-	// to the owner, owner outages fall back to local recomputation with
-	// hinted handoff, and the repair loop pushes hints once owners
-	// recover. The server owns the cluster's probe and repair lifecycles:
+	// to the owner, owner outages fall back to local recomputation, and
+	// the rebalance pass pushes stored keys to the replicas that lack
+	// them. The server owns the cluster's probe and rebalance lifecycles:
 	// New starts them, Shutdown stops them.
 	Cluster *cluster.Cluster
 
@@ -111,25 +115,16 @@ type Config struct {
 	// behind an upstream cache.
 	Upstream *Client
 
-	// RepairInterval is the hinted-handoff repair loop period
-	// (<= 0: 5s). The loop only runs with both Cluster and Store set.
-	RepairInterval time.Duration
-
-	// RebalanceInterval is the streaming-rebalance mover's periodic pass
-	// interval (<= 0: 30s). Membership adoptions additionally wake the
-	// mover immediately; the timer is the retry schedule for passes that
-	// ended with errors. Runs only with both Cluster and Store set.
+	// RebalanceInterval is the rebalance pass's timer period (<= 0: 30s).
+	// Membership adoptions and peers coming back up additionally wake the
+	// pass at once; the timer is the retry schedule for deliveries a pass
+	// left owed. Runs only with both Cluster and Store set.
 	RebalanceInterval time.Duration
 
-	// RebalanceRate caps how many keys per second the mover pushes to
-	// peers (<= 0: unlimited), so a rebalance cannot starve serving
+	// RebalanceRate caps how many keys per second the rebalance pass
+	// pushes to peers (<= 0: unlimited), so repair cannot starve serving
 	// traffic of disk and network bandwidth.
 	RebalanceRate int
-
-	// AntiEntropyInterval is the replica-repair sweep period (<= 0: 1m):
-	// per-range key digests are compared with each live peer and missing
-	// entries re-replicated. Runs only with both Cluster and Store set.
-	AntiEntropyInterval time.Duration
 }
 
 // Server is the netcached HTTP service.
@@ -165,25 +160,17 @@ type Server struct {
 	validApps map[string]bool
 
 	// Cluster plumbing: lazily built per-peer clients, in-flight gossip
-	// pulls, and the background loops' lifecycles (handoff repair,
-	// streaming rebalance, anti-entropy).
+	// pulls, and the rebalance loop's lifecycle and status.
 	peerMu      sync.Mutex
 	peerClients map[string]*Client
 	syncing     map[string]bool // peers with a membership pull in flight
-	repairStop  chan struct{}
-	repairDone  chan struct{}
-	repairOnce  sync.Once
 	rebalStop   chan struct{}
 	rebalDone   chan struct{}
 	rebalWake   chan struct{}
 	rebalOnce   sync.Once
+	passMu      sync.Mutex // one rebalance pass at a time
 	rebalMu     sync.Mutex
 	rebal       RebalanceStatus
-	antiStop    chan struct{}
-	antiDone    chan struct{}
-	antiOnce    sync.Once
-	antiMu      sync.Mutex
-	anti        AntiEntropyStatus
 }
 
 // call is one in-flight keyed computation; followers wait on done.
@@ -247,7 +234,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("/v1/cluster", s.handleCluster)
 	mux.HandleFunc("/v1/cluster/membership", s.handleMembership)
 	mux.HandleFunc("/v1/cluster/digest", s.handleDigest)
-	mux.HandleFunc("/v1/cluster/keys", s.handleRangeKeys)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	// Every response from a clustered node carries its membership epoch,
@@ -261,9 +247,7 @@ func New(cfg Config) *Server {
 		})
 		cfg.Cluster.StartProbes()
 		if cfg.Store != nil {
-			s.startRepair()
 			s.startRebalance()
-			s.startAntiEntropy()
 		}
 	}
 	return s
@@ -317,14 +301,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.closing = true
 	s.mu.Unlock()
 
-	// Stop the cluster loops first: no new probes, proxies, handoff
-	// pushes, rebalance walks, or anti-entropy sweeps while draining.
+	// Stop the cluster loops first: no new probes or rebalance passes
+	// while draining.
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.Close()
 	}
-	s.stopRepair()
 	s.stopRebalance()
-	s.stopAntiEntropy()
 
 	drained := make(chan struct{})
 	go func() {
@@ -651,8 +633,8 @@ func (s *Server) lead(ctx context.Context, key string, spec netcache.RunSpec, in
 		}
 		// Every replica is unreachable. Results are deterministic
 		// recomputations, so a down owner costs latency, not correctness:
-		// compute locally, and (after the Put below) leave a hint for the
-		// repair loop to push once the owner recovers.
+		// compute locally. Once stored here the key is owed to its
+		// replicas, and the rebalance pass delivers it when they are up.
 		s.m.add(&s.m.clusterFallbacks)
 	}
 
@@ -721,11 +703,6 @@ func (s *Server) lead(ctx context.Context, key string, spec netcache.RunSpec, in
 				s.putFailed(key, err)
 			} else {
 				s.putSucceeded()
-				if !owned {
-					// Recompute fallback on a non-replica: the bytes are
-					// safe locally; hint them to the owner.
-					s.hintHandoff(key)
-				}
 			}
 		}
 	}

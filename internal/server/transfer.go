@@ -9,19 +9,19 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 )
 
 // Batched replica transfer.
 //
-// Rebalance, hinted-handoff repair and anti-entropy all end the same way:
-// keys held here must be made present on a peer. transfer does that for
-// all three, a batch at a time. One POST /v1/results/missing asks the peer
-// which keys of the batch its store cannot serve, and the values it lacks
-// are read from the local store and sent in POST /v1/results pushes of at
-// most transferBatchBytes. A batch costs two round trips whatever its
-// size. Values are content-addressed, so a fill is unconditional and the
-// keys of a batch need no order between them.
+// The rebalance pass ends every delivery the same way: keys held here
+// must be made present on a peer. transfer does that, a batch at a time,
+// and is the only code that sends values to a peer. One POST
+// /v1/results/missing asks the peer which keys of the batch its store
+// cannot serve, and the values it lacks are read from the local store and
+// sent in POST /v1/results pushes of at most transferBatchBytes. A batch
+// costs two round trips whatever its size. Values are content-addressed,
+// so a fill is unconditional and the keys of a batch need no order between
+// them.
 
 const (
 	// transferBatchKeys is how many keys one presence check covers and the
@@ -199,9 +199,9 @@ func (s *Server) handleMissing(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePush serves POST /v1/results: the replica push target of the
-// rebalance mover, hinted-handoff repair and anti-entropy. Each frame is
-// checked and stored on its own; a malformed body (broken framing, too many
-// frames, over the byte cap) stores nothing.
+// rebalance pass. Each frame is checked and stored on its own; a malformed
+// body (broken framing, too many frames, over the byte cap) stores
+// nothing.
 func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	const path = "/v1/results"
 	body, ok := s.readTransfer(w, r, path, maxPushBytes)
@@ -218,7 +218,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.allowPut() {
-		// Degraded: tell the pusher to keep its hints and retry later.
+		// Degraded: the pusher counts the keys owed and retries later.
 		s.writeError(w, path, http.StatusServiceUnavailable, "store degraded; retry later")
 		return
 	}
@@ -237,7 +237,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			s.putSucceeded()
-			s.m.add(&s.m.handoffReceived)
+			s.m.add(&s.m.rebalanceReceived)
 			out.Status = http.StatusOK
 		}
 	}
@@ -333,16 +333,5 @@ func (s *Server) transfer(ctx context.Context, loop, peer string, keys []string,
 			return out
 		}
 	}
-	return out
-}
-
-// sortedKeys returns a key-list map's keys in order, so per-peer work runs
-// in a deterministic order.
-func sortedKeys(m map[string][]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
 	return out
 }

@@ -44,12 +44,10 @@ func listenN(t *testing.T, n int) ([]net.Listener, []string) {
 	return ls, urls
 }
 
-// manualLoops keeps every background loop out of a test that drives the
-// passes by hand.
+// manualLoops keeps the rebalance timer out of a test that drives the
+// passes by hand; membership adoptions and peer recoveries still wake it.
 func manualLoops(_ int, cfg *Config) {
-	cfg.RepairInterval = 10 * time.Minute
 	cfg.RebalanceInterval = 10 * time.Minute
-	cfg.AntiEntropyInterval = 10 * time.Minute
 }
 
 // TestTransferFrameErrors feeds POST /v1/results and POST
@@ -319,66 +317,62 @@ func TestTransferBatchesByBudget(t *testing.T) {
 	}
 }
 
-// TestRepairHandoffsBatched: hinted-handoff repair drops a hint only once
-// its key is settled — stored at the owner, already present there, or gone
-// locally — and keeps the hint of an entry the owner refused.
-func TestRepairHandoffsBatched(t *testing.T) {
+// TestRebalanceRestartAndWake: a key stored outside this node's replica
+// set is owed to that set, with no record kept of why, so what a node owes
+// survives a restart. A holds keys that B owns while B is down, and owes
+// B exactly those keys before and after it restarts on its directory; a
+// hint file an older version left under handoff/ changes nothing. With
+// the timer at 10 min, B coming back up is the only wake A's loop gets,
+// and it delivers every key.
+func TestRebalanceRestartAndWake(t *testing.T) {
 	ctx := context.Background()
 	nodes := startCluster(t, 2, 1, manualLoops)
 	a, b := nodes[0], nodes[1]
-	waitFor(t, "peers to probe up", func() bool { return a.cl.Up(b.url) })
+	b.stop(t)
+	waitFor(t, "A to see B down", func() bool { return !a.cl.Up(b.url) })
 
-	var ownedByB []string
-	for i := 0; len(ownedByB) < 10; i++ {
-		if key := testKey(fmt.Sprint("hint-", i)); a.cl.Owner(key) == b.url {
-			ownedByB = append(ownedByB, key)
-		}
-	}
-	val := func(key string) []byte { return []byte(`{"hint":"` + key[:8] + `"}`) }
-	toPush, present, gone, refused := ownedByB[:5], ownedByB[5:8], ownedByB[8], ownedByB[9]
-	for _, key := range ownedByB {
-		switch {
-		case key == gone:
-		case key == refused:
-			if err := a.st.Put(key, []byte("not json")); err != nil {
-				t.Fatal(err)
-			}
-		default:
+	val := func(key string) []byte { return []byte(`{"owed":"` + key[:8] + `"}`) }
+	var owed []string
+	for i := 0; len(owed) < 40; i++ {
+		if key := testKey(fmt.Sprint("owed-", i)); a.cl.Owner(key) == b.url {
 			if err := a.st.Put(key, val(key)); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := a.st.HandoffAdd(key, b.url); err != nil {
-			t.Fatal(err)
+			owed = append(owed, key)
 		}
 	}
-	for _, key := range present {
-		if err := b.st.Put(key, val(key)); err != nil {
-			t.Fatal(err)
+	checkOwed := func(when string) {
+		t.Helper()
+		a.srv.RebalancePass(ctx)
+		if rs := a.srv.RebalanceStatus(); rs.Owed != uint64(len(owed)) || rs.Done {
+			t.Fatalf("%s: status %+v, want %d owed and not Done", when, rs, len(owed))
 		}
 	}
+	checkOwed("B down")
 
-	if pushed := a.srv.RepairHandoffs(ctx); pushed != len(toPush) {
-		t.Fatalf("pushed %d hints, want %d", pushed, len(toPush))
-	}
-	for _, key := range append(append([]string{}, toPush...), present...) {
-		if got, ok := b.st.Get(key); !ok || !bytes.Equal(got, val(key)) {
-			t.Fatalf("key %s not on its owner after repair", key[:8])
-		}
-	}
-	pending := a.st.HandoffPending()
-	if len(pending) != 1 || pending[0].Key != refused {
-		t.Fatalf("pending hints %+v, want only the refused %s", pending, refused[:8])
-	}
-	text, err := a.c.Metrics(ctx)
-	if err != nil {
+	if err := os.MkdirAll(filepath.Join(a.dir, "handoff"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if v := metricValue(t, text, "netcached_cluster_handoff_pushed_total"); v != int64(len(toPush)) {
-		t.Errorf("handoff_pushed_total = %d, want %d", v, len(toPush))
+	if err := os.WriteFile(filepath.Join(a.dir, "handoff", owed[0]+".hint"), []byte(b.url), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if v := metricValue(t, text, "netcached_cluster_handoff_reaped_total"); v != int64(len(present)) {
-		t.Errorf("handoff_reaped_total = %d, want %d", v, len(present))
+	a.stop(t)
+	a = restartNode(t, nodes, 0, 1, manualLoops)
+	waitFor(t, "restarted A to see B down", func() bool { return !a.cl.Up(b.url) })
+	checkOwed("A restarted, B down")
+
+	b = restartNode(t, nodes, 1, 1, manualLoops)
+	waitFor(t, "B's recovery to wake a pass that delivers every key", func() bool {
+		rs := a.srv.RebalanceStatus()
+		return rs.Done && rs.Owed == 0
+	})
+	for _, key := range owed {
+		if got, ok := b.st.Get(key); !ok || !bytes.Equal(got, val(key)) {
+			t.Fatalf("owed key %s not on B byte for byte after the wake", key[:8])
+		}
+	}
+	if rs := a.srv.RebalanceStatus(); rs.Moved != uint64(len(owed)) {
+		t.Fatalf("wake pass moved %d keys, want %d", rs.Moved, len(owed))
 	}
 }
 

@@ -10,17 +10,17 @@ import (
 
 // Rebalance support: key enumeration and a persisted cursor.
 //
-// When the cluster ring changes, the server's rebalance mover walks every
-// locally resident key and pushes the ones whose replica set moved to their
-// new owners. The walk is resumable: the mover checkpoints (epoch, last key
-// of the last walk chunk it delivered without error) here, so a crash
-// mid-rebalance restarts from the cursor instead of from the top. Like
-// handoff hints, the cursor is advisory metadata — losing it costs a
-// re-walk (skips are cheap: one key-list presence check per batch tells
-// the mover what the destination already holds), never a wrong answer.
+// The server's rebalance pass walks every locally resident key and makes
+// it present on each replica that should hold it. The walk is resumable:
+// the pass checkpoints (epoch, upper bound of the last key range it
+// delivered without error) here, so a crash mid-pass restarts from the
+// cursor instead of from the top. The cursor is advisory metadata —
+// losing it costs a re-walk (skips are cheap: one key-list presence check
+// per batch tells the pass what the destination already holds), never a
+// wrong answer.
 //
-// The cursor lives in the rebalance/ subdirectory, which — like handoff/
-// and quarantine/ — is invisible to the tier scans, so it is never counted
+// The cursor lives in the rebalance/ subdirectory, which — like
+// quarantine/ — is invisible to the tier scans, so it is never counted
 // against or evicted by the LRU budget.
 
 // rebalanceDir is the subdirectory the rebalance cursor lives in.
@@ -40,8 +40,8 @@ func (s *Store) rebalanceCursorPath() string {
 // both tiers (promotion races) appear once. Hot keys come from directory
 // entry names alone — no per-file stat — so listing a large store costs one
 // directory read. The listing is a snapshot: concurrent puts and evictions
-// may or may not be reflected — acceptable for the rebalance walk, which
-// the anti-entropy sweep backstops.
+// may or may not be reflected — acceptable for the rebalance walk, whose
+// next pass lists again.
 func (s *Store) Keys() []string {
 	// Sorted by name, so hot keys arrive sorted. A failed read lists what
 	// it got; the next walk lists again.

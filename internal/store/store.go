@@ -255,8 +255,8 @@ func validKey(key string) bool {
 // rewrite.
 func (s *Store) Get(key string) ([]byte, bool) { return s.read(key, true) }
 
-// Peek is Get for background readers — rebalance, hinted-handoff repair,
-// anti-entropy and the peer presence check. It verifies the checksum and
+// Peek is Get for background readers — the cluster's rebalance pass and
+// the peer presence check. It verifies the checksum and
 // drops corrupt entries exactly like Get, but neither refreshes a hot
 // entry's mtime (the LRU clock) nor promotes a cold hit: copying a key to
 // a replica is not a sign that anyone reads it.

@@ -82,12 +82,29 @@ func Run(spec RunSpec) (Result, error) {
 	return RunContext(context.Background(), spec)
 }
 
+// Validate reports whether the spec names a run the simulator can execute:
+// a registered application, a valid Config and, when sampling is enabled, a
+// known mode with a non-negative Period. It simulates nothing, so a service
+// can reject a bad spec before keying, caching or forwarding it.
+func (s RunSpec) Validate() error {
+	if _, err := apps.New(s.App); err != nil {
+		return err
+	}
+	if err := s.Config.Validate(); err != nil {
+		return fmt.Errorf("netcache: %s on %s: %w", s.App, s.System, err)
+	}
+	return s.Sampling.validate()
+}
+
 // RunContext is Run with cancellation: when ctx is cancelled or times out,
 // the simulation engine aborts promptly (joining all processor goroutines)
 // and the error wraps ctx.Err(). Cancellation is polled between engine
 // steps only, so a context that never fires cannot perturb the run —
 // results stay bit-identical to Run.
 func RunContext(ctx context.Context, spec RunSpec) (Result, error) {
+	if err := spec.Validate(); err != nil {
+		return Result{}, err
+	}
 	app, err := apps.New(spec.App)
 	if err != nil {
 		return Result{}, err
@@ -95,22 +112,16 @@ func RunContext(ctx context.Context, spec RunSpec) (Result, error) {
 	return runApp(ctx, spec, app)
 }
 
-// runApp executes one prepared app instance; split from RunContext so tests
-// can drive the pipeline with synthetic apps (e.g. a failing Verify).
+// runApp executes one prepared app instance of a validated spec; split from
+// RunContext so tests can drive the pipeline with synthetic apps (e.g. a
+// failing Verify), whose names Validate would reject.
 func runApp(ctx context.Context, spec RunSpec, app apps.App) (Result, error) {
 	if spec.Scale == 0 {
 		spec.Scale = 0.25
 	}
-	if err := spec.Config.Validate(); err != nil {
-		return Result{}, fmt.Errorf("netcache: %s on %s: %w", spec.App, spec.System, err)
-	}
 	m := NewMachine(spec.System, spec.Config)
 	if spec.Sampling.Enabled() {
-		plan, err := spec.Sampling.plan()
-		if err != nil {
-			return Result{}, err
-		}
-		if err := m.AttachSampler(plan); err != nil {
+		if err := m.AttachSampler(spec.Sampling.plan()); err != nil {
 			return Result{}, fmt.Errorf("netcache: %s on %s: %w", spec.App, spec.System, err)
 		}
 	}

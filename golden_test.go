@@ -7,10 +7,13 @@ package netcache_test
 // structure, baton handoff) must reproduce them exactly before its
 // results table can be trusted.
 //
+// TestSampledGolden pins the same (key, result hash) pairs for sampled runs,
+// whose functional fast-forward the full corpus never executes.
+//
 // Regenerate (only when a change is *supposed* to alter simulated timelines,
 // which should be called out loudly in the PR):
 //
-//	go test -run TestGoldenDeterminism -args -update-golden
+//	go test -run 'TestGoldenDeterminism|TestSampledGolden' -args -update-golden
 
 import (
 	"context"
@@ -25,12 +28,14 @@ import (
 	"netcache"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/engine_golden.json from the current engine")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden corpora from the current engine")
 
 // goldenScale is the test-scale input size used for the determinism corpus.
 const goldenScale = 0.06
 
 const goldenPath = "testdata/engine_golden.json"
+
+const sampledGoldenPath = "testdata/sampled_golden.json"
 
 type goldenEntry struct {
 	App    string `json:"app"`
@@ -53,6 +58,12 @@ func computeGolden(t *testing.T) []goldenEntry {
 			})
 		}
 	}
+	return runGolden(t, specs)
+}
+
+// runGolden runs specs and records each one's (key, result hash) entry.
+func runGolden(t *testing.T, specs []netcache.RunSpec) []goldenEntry {
+	t.Helper()
 	results := netcache.RunBatch(context.Background(), netcache.BatchOptions{}, specs)
 	entries := make([]goldenEntry, 0, len(results))
 	for _, br := range results {
@@ -85,22 +96,28 @@ func TestGoldenDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 12x4 corpus; skipped with -short")
 	}
-	got := computeGolden(t)
+	checkGolden(t, goldenPath, computeGolden(t))
+}
+
+// checkGolden compares got against the corpus at path, or rewrites the
+// corpus under -update-golden.
+func checkGolden(t *testing.T, path string, got []goldenEntry) {
+	t.Helper()
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d entries)", goldenPath, len(got))
+		t.Logf("rewrote %s (%d entries)", path, len(got))
 		return
 	}
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden corpus (run with -update-golden to generate): %v", err)
 	}
@@ -126,4 +143,35 @@ func TestGoldenDeterminism(t *testing.T) {
 				w.App, w.System, w.Result, g.Result)
 		}
 	}
+}
+
+// sampledGoldenScale is the sampled corpus's input size, the accuracy
+// harness's: long enough that every run completes at least one measured
+// interval under the corpus plan, and every run on the four systems that
+// take rounds executes some.
+const sampledGoldenScale = 0.25
+
+// TestSampledGolden runs every app on all five systems under the validated
+// corpus plan (corpusSampling) and checks the (spec key, result hash) pairs
+// against the committed sampled corpus. Ring-bearing NetCache never enters a
+// parallel round, so its entries pin the sequential fast-forward; the other
+// four systems run rounds as well.
+func TestSampledGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("12x5 sampled corpus; skipped with -short")
+	}
+	systems := []netcache.System{
+		netcache.SystemNetCache, netcache.SystemOptNet, netcache.SystemLambdaNet,
+		netcache.SystemDMONU, netcache.SystemDMONI,
+	}
+	var specs []netcache.RunSpec
+	for _, app := range netcache.Apps() {
+		for _, sys := range systems {
+			specs = append(specs, netcache.RunSpec{
+				App: app, System: sys, Scale: sampledGoldenScale, Verify: true,
+				Sampling: corpusSampling(),
+			})
+		}
+	}
+	checkGolden(t, sampledGoldenPath, runGolden(t, specs))
 }

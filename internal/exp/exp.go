@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"netcache"
-	"netcache/internal/runner"
 )
 
 // AllApps is the Table 4 application list.
@@ -76,21 +75,20 @@ func NewRunner(opt Options) *Runner {
 // Opt returns the runner options.
 func (r *Runner) Opt() Options { return r.opt }
 
-// key derives the memoization key from the complete configuration: every
-// Config field participates (via %+v), so two configs differing in any knob
-// — including L1 geometry, write-buffer depth, or the replacement seed —
-// can never alias each other's cached results. Sampled and full runs of the
-// same spec likewise never alias: the sampling config is part of the key.
+// spec is the RunSpec the runner executes for s. Every spec shares the
+// options' Sampling, which nothing writes; a disabled one canonicalizes away.
+func (r *Runner) spec(s Spec) netcache.RunSpec {
+	return netcache.RunSpec{App: s.App, System: s.Sys, Config: s.Cfg, Scale: r.opt.Scale, Sampling: r.opt.Sampling}
+}
+
+// key is the memoization key: the RunSpec.Key content address that RunBatch,
+// netcached and the result store also use. It covers every Config field, the
+// scale and the sampling plan (minus Workers, which parameterizes the
+// execution strategy, not the experiment), so configs differing in any knob
+// never alias, and equivalent spellings share one run. Prime rejects the
+// specs it cannot key, so later lookups ignore the error.
 func (r *Runner) key(s Spec) string {
-	k := fmt.Sprintf("%s|%s|%+v|%g", s.App, s.Sys, s.Cfg, r.opt.Scale)
-	if r.opt.Sampling.Enabled() {
-		// Workers parameterizes the execution strategy, not the experiment —
-		// results are byte-identical at every worker count — so it must not
-		// fragment the memoization key.
-		smp := *r.opt.Sampling
-		smp.Workers = 0
-		k += fmt.Sprintf("|sample:%+v", smp)
-	}
+	k, _ := r.spec(s).Key()
 	return k
 }
 
@@ -101,63 +99,49 @@ func (r *Runner) cached(key string) (netcache.Result, bool) {
 	return res, ok
 }
 
-// Prime simulates every not-yet-cached spec concurrently and memoizes the
-// results. Identical specs are deduplicated (singleflight), results are
-// cached in deterministic spec order, and all failures are returned joined,
-// also in spec order. Successful runs stay cached even when Prime returns
-// an error, so callers keep partial results.
+// Prime simulates every not-yet-cached spec through netcache.RunBatch and
+// memoizes the results. Identical specs are deduplicated (singleflight),
+// results are cached in deterministic spec order, and all failures are
+// returned joined, also in spec order. Successful runs stay cached even when
+// Prime returns an error, so callers keep partial results.
 func (r *Runner) Prime(ctx context.Context, specs []Spec) error {
-	type pending struct {
-		spec Spec
-		key  string
-	}
-	var todo []pending
-	r.mu.Lock()
+	var todo []netcache.RunSpec
+	var keys []string
 	for _, s := range specs {
-		if _, ok := r.cache[r.key(s)]; !ok {
-			todo = append(todo, pending{s, r.key(s)})
+		rs := r.spec(s)
+		k, err := rs.Key()
+		if err != nil {
+			return fmt.Errorf("exp: %s on %s: %w", s.App, s.Sys, err)
+		}
+		if _, ok := r.cached(k); !ok {
+			todo = append(todo, rs)
+			keys = append(keys, k)
 		}
 	}
-	r.mu.Unlock()
 	if len(todo) == 0 {
 		return nil
 	}
 
-	jobs := make([]runner.Job[netcache.Result], len(todo))
-	for i, p := range todo {
-		spec := netcache.RunSpec{App: p.spec.App, System: p.spec.Sys, Config: p.spec.Cfg, Scale: r.opt.Scale}
-		if r.opt.Sampling.Enabled() {
-			s := *r.opt.Sampling
-			spec.Sampling = &s
-		}
-		jobs[i] = runner.Job[netcache.Result]{
-			Key: p.key,
-			Run: func(ctx context.Context) (netcache.Result, error) {
-				return netcache.RunContext(ctx, spec)
-			},
-		}
-	}
-	results := runner.Map(ctx, runner.Options[netcache.Result]{
+	results := netcache.RunBatch(ctx, netcache.BatchOptions{
 		Workers: r.opt.Workers,
 		Timeout: r.opt.Timeout,
-		OnDone: func(d runner.Done[netcache.Result]) {
-			if d.Err != nil {
-				r.opt.log("  %-9s %-10s FAILED: %v", todo[d.Index].spec.App, todo[d.Index].spec.Sys, d.Err)
+		OnDone: func(_ int, spec netcache.RunSpec, res netcache.Result, err error, wall time.Duration) {
+			if err != nil {
+				r.opt.log("  %-9s %-10s FAILED: %v", spec.App, spec.System, err)
 				return
 			}
-			r.opt.log("  %-9s %-10s %12d cycles  (%.1fs wall)",
-				todo[d.Index].spec.App, todo[d.Index].spec.Sys, d.Value.Cycles, d.Wall.Seconds())
+			r.opt.log("  %-9s %-10s %12d cycles  (%.1fs wall)", spec.App, spec.System, res.Cycles, wall.Seconds())
 		},
-	}, jobs)
+	}, todo)
 
 	var errs []error
 	r.mu.Lock()
-	for i, res := range results {
-		if res.Err != nil {
-			errs = append(errs, res.Err)
+	for i, br := range results {
+		if br.Err != nil {
+			errs = append(errs, br.Err)
 			continue
 		}
-		r.cache[todo[i].key] = res.Value
+		r.cache[keys[i]] = br.Result
 	}
 	r.mu.Unlock()
 	return errors.Join(errs...)

@@ -72,11 +72,11 @@ type Node struct {
 	warmFree Time
 	// Round (parallel functional fast-forward) state. While inRound, this
 	// node may execute concurrently with others against frozen shared state:
-	// warm paths write only node-local state, count protocol events into
-	// scratch, and record shared-state mutations as deferred effects replayed
-	// in node-ID order at round close. roundLeft is the remaining reference
-	// quota; roundRefs counts references consumed this round (folded into the
-	// sampler's machine-wide count at close).
+	// warm paths write only node-local state and queue shared-state mutations
+	// in effects, replayed in node-ID order at round close. roundLeft is the
+	// remaining reference quota; roundRefs counts references consumed this
+	// round (folded into the sampler's machine-wide count at close). scratch
+	// is the functional steps' protocol counter bank, in a round or not.
 	inRound   bool
 	roundLeft uint64
 	roundRefs uint64
@@ -476,22 +476,25 @@ func (n *Node) Poison(block Addr) {
 // The warm* methods mirror read/write/fence but run entirely in app context:
 // cache, write-buffer and protocol state advance exactly as in the detailed
 // path, latencies are contention-free estimates, and no engine event is
-// scheduled. Safe under engine exclusivity by the same argument as the
-// Ctx.Read L1 fast path — only one goroutine is ever runnable.
+// scheduled. Every step goes through the protocol's Warmer handlers, which
+// record shared-state mutations through Defer. Inside a parallel round those
+// effects queue for replay at round close; outside one, Defer applies each at
+// once — safe under engine exclusivity by the same argument as the Ctx.Read
+// L1 fast path: only one goroutine is ever runnable.
 
 // Now returns the node's processor clock. Valid only while the machine runs;
 // protocols use it to keep warm-mode state timestamps (ring recency, race
 // FIFO residency) consistent with the advancing clocks.
 func (n *Node) Now() Time { return n.proc.Clock() }
 
-// InRound reports whether the node is executing inside a parallel functional
-// round: shared protocol structures may be read but not written; mutations
-// must be deferred via Defer and counters recorded in RoundCounters.
-func (n *Node) InRound() bool { return n.inRound }
-
-// Defer records a shared-state mutation for node-ID-ordered replay when the
-// current round closes.
+// Defer records a shared-state mutation. Outside a parallel round it is
+// applied at once, in the order the handler records it; inside one it is
+// queued for node-ID-ordered replay when the round closes.
 func (n *Node) Defer(e WarmEffect) {
+	if !n.inRound {
+		n.M.apply(n, e)
+		return
+	}
 	n.effects = append(n.effects, e)
 	if len(n.effects) >= roundEffectsCap {
 		// Effect-heavy access patterns (every reference missing L2 defers
@@ -503,38 +506,25 @@ func (n *Node) Defer(e WarmEffect) {
 	}
 }
 
-// RoundCounters is the node's round-scratch counter bank: protocols count
-// into it during rounds, and the round collector merges it via WarmMerge.
+// RoundCounters is the node's scratch counter bank: protocols count their
+// functional steps into it, and it is merged via WarmMerge when a round
+// closes and when the run's statistics are collected.
 func (n *Node) RoundCounters() *counter.Set { return &n.scratch }
 
 // WarmFillL2 installs block functionally: the victim's L1 halves are
-// invalidated and the protocol sees a state-only eviction. Inside a round the
-// sharer-set updates and the eviction are deferred — both touch shared
-// machine/protocol state.
+// invalidated, and the sharer-set updates and the protocol's state-only
+// eviction go through Defer — both touch shared machine/protocol state.
 func (n *Node) WarmFillL2(block Addr, st mem.State) {
 	evicted, evState := n.L2.Fill(block, st)
-	if n.inRound {
-		if evicted >= 0 {
-			n.L1.InvalidateRange(evicted, n.L2.BlockBytes())
-			if n.M.Space.IsShared(evicted) {
-				n.Defer(WarmEffect{Kind: EffSharerDrop, Block: evicted})
-			}
-			n.Defer(WarmEffect{Kind: EffEvict, Block: evicted, Aux: int64(evState)})
-		}
-		if n.M.Space.IsShared(block) {
-			n.Defer(WarmEffect{Kind: EffSharerAdd, Block: block})
-		}
-		return
-	}
 	if evicted >= 0 {
 		n.L1.InvalidateRange(evicted, n.L2.BlockBytes())
 		if n.M.Space.IsShared(evicted) {
-			n.M.dropSharer(evicted, n.ID)
+			n.Defer(WarmEffect{Kind: EffSharerDrop, Block: evicted})
 		}
-		n.M.warm.WarmEvict(n, evicted, evState)
+		n.Defer(WarmEffect{Kind: EffEvict, Block: evicted, Aux: int64(evState)})
 	}
 	if n.M.Space.IsShared(block) {
-		n.M.addSharer(block, n.ID)
+		n.Defer(WarmEffect{Kind: EffSharerAdd, Block: block})
 	}
 }
 
@@ -570,13 +560,7 @@ func (n *Node) warmRead(p *sim.Proc, a Addr) {
 		p.Advance(m.Model.L2HitTotal)
 		return
 	}
-	var lat Time
-	var st mem.State
-	if n.inRound {
-		lat, st = m.warm.WarmRoundRead(n, a)
-	} else {
-		lat, st = m.warm.WarmReadMiss(n, a)
-	}
+	lat, st := m.warm.WarmRead(n, a)
 	if m.Space.IsShared(a) && m.Space.Home(a) != n.ID {
 		n.St.RemoteMiss++
 	} else {
@@ -665,10 +649,6 @@ func (n *Node) warmWrite(p *sim.Proc, a Addr) {
 func (n *Node) warmDrainEntry(e mem.WBEntry) {
 	if e.Shared {
 		n.St.UpdatesIssued++
-	}
-	if n.inRound {
-		n.M.warm.WarmRoundDrain(n, e)
-		return
 	}
 	n.M.warm.WarmDrain(n, e)
 }

@@ -53,35 +53,30 @@ type SamplePlan struct {
 // handlers that keep caches, directories and the shared ring current without
 // arbitrating for channels or scheduling events. A protocol must implement
 // it for the machine to accept a SamplePlan.
+//
+// The read and drain handlers are written for round isolation: the calling
+// node may be executing concurrently with other nodes against frozen shared
+// state, so they may read shared protocol structures (directory, ring
+// presence) but must write only node-local state, count into
+// n.RoundCounters(), and record every shared-state mutation as an effect via
+// n.Defer. Outside a parallel round Defer applies the effect at once, so the
+// same handlers serve the sequential fast-forward as a round of one node.
 type Warmer interface {
-	// WarmReadMiss services a second-level read miss functionally: protocol
-	// state (ring, directory, counters) advances, and the returned latency
-	// is the contention-free estimate charged to the processor.
-	WarmReadMiss(n *Node, addr Addr) (lat Time, st mem.State)
+	// WarmRead services a second-level read miss functionally; the returned
+	// latency is the contention-free estimate charged to the processor.
+	WarmRead(n *Node, addr Addr) (lat Time, st mem.State)
 	// WarmDrain performs the coherence state transition for one write-buffer
 	// entry (update delivery / invalidation / ownership) without timing.
 	WarmDrain(n *Node, e mem.WBEntry)
-	// WarmEvict performs the state half of an eviction (directory clear,
-	// writeback accounting).
-	WarmEvict(n *Node, block Addr, st mem.State)
 	// WarmDrainLatency is the contention-free cost charged per drained entry
 	// when a fence or a full buffer forces a functional drain.
 	WarmDrainLatency() Time
-
-	// The WarmRound* methods are the round-mode (parallel fast-forward)
-	// variants of WarmReadMiss/WarmDrain: the calling node may be executing
-	// concurrently with other nodes against frozen shared state, so they may
-	// read shared protocol structures (directory, ring presence) but must
-	// write only node-local state, count into n.RoundCounters(), and record
-	// every shared-state mutation as a deferred effect via n.Defer.
-	WarmRoundRead(n *Node, addr Addr) (lat Time, st mem.State)
-	WarmRoundDrain(n *Node, e mem.WBEntry)
-	// WarmApply replays one protocol effect recorded by a WarmRound* method.
-	// Called sequentially, in node-ID order, after every round participant
-	// has parked; full mutation rights apply.
+	// WarmApply performs one protocol effect recorded through n.Defer, with
+	// full mutation rights: at once outside a round, or in node-ID order
+	// after every round participant has parked.
 	WarmApply(n *Node, e WarmEffect)
-	// WarmMerge folds a node's round-scratch counter bank into the protocol's
-	// counters at round close.
+	// WarmMerge folds a node's scratch counter bank into the protocol's
+	// counters (at round close and when the run's statistics are collected).
 	WarmMerge(cs *counter.Set)
 	// WarmRoundQuota bounds how many references one participant may execute
 	// per round against frozen shared state. Deferred effects are invisible
@@ -94,17 +89,17 @@ type Warmer interface {
 	WarmRoundQuota() uint64
 }
 
-// WarmEffectKind discriminates the deferred shared-state mutations a round
-// participant records for replay.
+// WarmEffectKind discriminates the shared-state mutations a functional step
+// records through Node.Defer.
 type WarmEffectKind uint8
 
 const (
 	// EffSharerAdd/EffSharerDrop are machine-level sharer-set bookkeeping,
-	// applied by the round collector itself.
+	// applied by the machine itself.
 	EffSharerAdd WarmEffectKind = iota
 	EffSharerDrop
-	// EffEvict replays the protocol's WarmEvict for an L2 victim (Aux holds
-	// the victim's cache state).
+	// EffEvict is the state half of an L2 victim's eviction (directory clear,
+	// writeback accounting); Aux holds the victim's cache state.
 	EffEvict
 	// EffUpdate is an update-coherence delivery (update protocols; T is the
 	// writer's clock at drain time).
@@ -121,12 +116,25 @@ const (
 	EffForward
 )
 
-// WarmEffect is one deferred shared-state mutation recorded during a round.
+// WarmEffect is one shared-state mutation recorded by a functional step.
 type WarmEffect struct {
 	Kind  WarmEffectKind
 	Block Addr
 	T     Time
 	Aux   int64
+}
+
+// apply performs one effect recorded by node n: sharer-set bookkeeping here,
+// everything else through the protocol's WarmApply.
+func (m *Machine) apply(n *Node, e WarmEffect) {
+	switch e.Kind {
+	case EffSharerAdd:
+		m.addSharer(e.Block, n.ID)
+	case EffSharerDrop:
+		m.dropSharer(e.Block, n.ID)
+	default:
+		m.warm.WarmApply(n, e)
+	}
 }
 
 // nodeDelta is the slim per-node snapshot the sampler checkpoints with: only
@@ -642,16 +650,7 @@ func (s *sampler) collectRound(p *sim.Proc) {
 		}
 		pn.inRound = false
 		for _, e := range pn.effects {
-			switch e.Kind {
-			case EffSharerAdd:
-				m.addSharer(e.Block, pn.ID)
-			case EffSharerDrop:
-				m.dropSharer(e.Block, pn.ID)
-			case EffEvict:
-				m.warm.WarmEvict(pn, e.Block, mem.State(e.Aux))
-			default:
-				m.warm.WarmApply(pn, e)
-			}
+			m.apply(pn, e)
 		}
 		pn.effects = pn.effects[:0]
 		m.warm.WarmMerge(&pn.scratch)

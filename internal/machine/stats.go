@@ -1,6 +1,9 @@
 package machine
 
-import "netcache/internal/ring"
+import (
+	"netcache/internal/proto/counter"
+	"netcache/internal/ring"
+)
 
 // RunStats is the outcome of one simulation run.
 type RunStats struct {
@@ -19,6 +22,14 @@ type RunStats struct {
 }
 
 func (m *Machine) collect(cycles Time) RunStats {
+	if m.warm != nil {
+		// Functional steps count into per-node scratch banks; fold in what no
+		// round close has merged yet.
+		for _, n := range m.Nodes {
+			m.warm.WarmMerge(&n.scratch)
+			n.scratch = counter.Set{}
+		}
+	}
 	rs := RunStats{
 		System: m.Proto.Name(),
 		Procs:  m.P(),

@@ -348,18 +348,9 @@ func (p *Proto) deliverInval(writer int, block mem.Addr) {
 // Evict: I-SPEED writes back owned blocks on replacement and clears the
 // directory entry; update coherence never writes back.
 func (p *Proto) Evict(n *machine.Node, block mem.Addr, st mem.State, t Time) {
-	if p.variant != Invalidate {
+	if !p.clearOwner(n, block, st) {
 		return
 	}
-	if st != mem.Exclusive && st != mem.Shared {
-		return
-	}
-	idx := p.m.Space.BlockIndex(block)
-	if owner, ok := p.dir.Get(idx); !ok || owner != n.ID {
-		return
-	}
-	p.dir.Delete(idx)
-	p.counters.Inc(counter.Writebacks)
 	md := p.m.Model
 	home := p.m.Space.Home(block)
 	// Writing the block back streams it into the home memory (about the
@@ -378,105 +369,34 @@ func (p *Proto) Evict(n *machine.Node, block mem.Addr, st mem.State, t Time) {
 	p.m.Mems[home].Occupy(arrive, wbService+dirUpdateService)
 }
 
-// ---- Functional warmup (machine.Warmer) --------------------------------
-
-// WarmReadMiss advances directory and cache state for a functional read
-// miss: an I-SPEED owner is downgraded exactly as forward does, but no
-// channel is reserved and the latency is the Table 2 contention-free
-// estimate (plus the bounce-and-lookup overhead on forwarded service).
-func (p *Proto) WarmReadMiss(n *machine.Node, addr mem.Addr) (Time, mem.State) {
-	md := p.m.Model
-	sp := p.m.Space
-	if !sp.IsShared(addr) {
-		p.counters.Inc(counter.LocalReads)
-		return md.L1TagCheck + md.L2TagCheck + md.MemBlockRead(Time(p.m.Cfg.L2Block)), mem.Clean
-	}
-	home := sp.Home(addr)
-	block := sp.Block(addr)
-	if p.variant == Invalidate {
-		if owner, ok := p.dir.Get(sp.BlockIndex(block)); ok && owner != n.ID {
-			p.counters.Inc(counter.Forwards)
-			on := p.m.Nodes[owner]
-			if st, ok := on.L2.Lookup(block); ok {
-				if st == mem.Exclusive {
-					on.L2.SetState(block, mem.Shared)
-				}
-			} else {
-				p.counters.Inc(counter.ForwardMisses)
-			}
-			return md.DMONMiss() + md.MemRequestDMON + md.Flight + dirLookupService, mem.Clean
-		}
-	}
-	if home == n.ID {
-		p.counters.Inc(counter.LocalReads)
-		return md.L1TagCheck + md.L2TagCheck + md.MemBlockRead(Time(p.m.Cfg.L2Block)), mem.Clean
-	}
-	p.counters.Inc(counter.RemoteReads)
-	return md.DMONMiss(), mem.Clean
-}
-
-// WarmDrain performs the coherence state transition for one entry: DMON-U
-// delivers the update to snoopers; I-SPEED writes owned copies silently,
-// write-allocates misses, then invalidates remote copies and takes
-// ownership — the same state machine as drainInvalidate, without timing.
-func (p *Proto) WarmDrain(n *machine.Node, e mem.WBEntry) {
-	if !e.Shared {
-		p.counters.Inc(counter.PrivateWrites)
-		return
-	}
-	if p.variant == Update {
-		p.counters.Inc(counter.Updates)
-		p.deliverUpdate(n.ID, e.Block)
-		return
-	}
-	block := e.Block
-	st, present := n.L2.Lookup(block)
-	if present && st == mem.Exclusive {
-		p.counters.Inc(counter.OwnerWrites)
-		return
-	}
-	if !present {
-		p.counters.Inc(counter.WriteMisses)
-		_, fst := p.WarmReadMiss(n, block)
-		n.WarmFillL2(block, fst)
-	}
-	p.counters.Inc(counter.Invalidations)
-	p.deliverInval(n.ID, block)
-	p.dir.Put(p.m.Space.BlockIndex(block), n.ID)
-	n.L2.SetState(block, mem.Exclusive)
-}
-
-// WarmEvict clears the I-SPEED directory entry for an owned victim (the
-// state half of Evict; the writeback's memory occupancy is timing-only).
-func (p *Proto) WarmEvict(n *machine.Node, block mem.Addr, st mem.State) {
+// clearOwner is the state half of an eviction: when n owns the I-SPEED
+// victim, its directory entry is cleared and the writeback counted. It
+// reports whether a writeback is owed.
+func (p *Proto) clearOwner(n *machine.Node, block mem.Addr, st mem.State) bool {
 	if p.variant != Invalidate {
-		return
+		return false
 	}
 	if st != mem.Exclusive && st != mem.Shared {
-		return
+		return false
 	}
 	idx := p.m.Space.BlockIndex(block)
 	if owner, ok := p.dir.Get(idx); !ok || owner != n.ID {
-		return
+		return false
 	}
 	p.dir.Delete(idx)
 	p.counters.Inc(counter.Writebacks)
+	return true
 }
 
-// WarmDrainLatency is the Table 3 contention-free write transaction.
-func (p *Proto) WarmDrainLatency() Time {
-	if p.variant == Update {
-		return p.m.Model.CoherenceDMONU(8)
-	}
-	return p.m.Model.CoherenceDMONI()
-}
+// ---- Functional warmup (machine.Warmer) --------------------------------
 
-// WarmRoundRead is WarmReadMiss under round isolation: the directory is read
-// (frozen during the round) but the owner's cache — another node, possibly
-// executing concurrently — is not touched; the downgrade-or-forward-miss
-// resolution is deferred to replay. The charged latency is owner-independent,
-// so it matches WarmReadMiss for either resolution.
-func (p *Proto) WarmRoundRead(n *machine.Node, addr mem.Addr) (Time, mem.State) {
+// WarmRead services a functional read miss: the latency is the Table 2
+// contention-free estimate (plus the bounce-and-lookup overhead on forwarded
+// service), and no channel is reserved. The directory is read, but the
+// owner's cache belongs to another node, so its downgrade — or the
+// forward-miss fallback — goes through n.Defer. The charged latency is
+// owner-independent, so it holds for either resolution.
+func (p *Proto) WarmRead(n *machine.Node, addr mem.Addr) (Time, mem.State) {
 	md := p.m.Model
 	sp := p.m.Space
 	if !sp.IsShared(addr) {
@@ -500,12 +420,12 @@ func (p *Proto) WarmRoundRead(n *machine.Node, addr mem.Addr) (Time, mem.State) 
 	return md.DMONMiss(), mem.Clean
 }
 
-// WarmRoundDrain performs the node-local half of the write transition and
-// defers everything that crosses nodes: DMON-U update delivery, and I-SPEED
-// invalidation broadcast plus directory ownership. The writer's own L2 (a
-// write-allocate fill, the Exclusive upgrade) mutates inline — it is
-// node-local.
-func (p *Proto) WarmRoundDrain(n *machine.Node, e mem.WBEntry) {
+// WarmDrain performs the coherence state transition for one entry — the
+// same state machine as drainUpdate/drainInvalidate, without timing. The
+// writer's own L2 (a write-allocate fill, the Exclusive upgrade) mutates
+// inline; what crosses nodes goes through n.Defer: DMON-U update delivery,
+// and I-SPEED invalidation broadcast plus directory ownership.
+func (p *Proto) WarmDrain(n *machine.Node, e mem.WBEntry) {
 	if !e.Shared {
 		n.RoundCounters().Inc(counter.PrivateWrites)
 		return
@@ -523,7 +443,7 @@ func (p *Proto) WarmRoundDrain(n *machine.Node, e mem.WBEntry) {
 	}
 	if !present {
 		n.RoundCounters().Inc(counter.WriteMisses)
-		_, fst := p.WarmRoundRead(n, block)
+		_, fst := p.WarmRead(n, block)
 		n.WarmFillL2(block, fst)
 	}
 	n.RoundCounters().Inc(counter.Invalidations)
@@ -531,12 +451,24 @@ func (p *Proto) WarmRoundDrain(n *machine.Node, e mem.WBEntry) {
 	n.L2.SetState(block, mem.Exclusive)
 }
 
-// WarmApply replays one deferred effect (n is the recording node). Replays
-// run sequentially in node-ID order with full mutation rights, so competing
-// writers of one round converge exactly as sequential delivery order would:
-// the last replayed invalidation clears every other copy and owns the block.
+// WarmDrainLatency is the Table 3 contention-free write transaction.
+func (p *Proto) WarmDrainLatency() Time {
+	if p.variant == Update {
+		return p.m.Model.CoherenceDMONU(8)
+	}
+	return p.m.Model.CoherenceDMONI()
+}
+
+// WarmApply performs one recorded effect (n is the recording node). Round
+// replays run sequentially in node-ID order with full mutation rights, so
+// competing writers of one round converge exactly as sequential delivery
+// order would: the last replayed invalidation clears every other copy and
+// owns the block.
 func (p *Proto) WarmApply(n *machine.Node, e machine.WarmEffect) {
 	switch e.Kind {
+	case machine.EffEvict:
+		// The writeback's memory occupancy is timing-only.
+		p.clearOwner(n, e.Block, mem.State(e.Aux))
 	case machine.EffUpdate:
 		p.deliverUpdate(n.ID, e.Block)
 	case machine.EffInval:
@@ -554,7 +486,7 @@ func (p *Proto) WarmApply(n *machine.Node, e machine.WarmEffect) {
 	}
 }
 
-// WarmMerge folds a node's round-scratch counters into the protocol bank.
+// WarmMerge folds a node's scratch counters into the protocol bank.
 func (p *Proto) WarmMerge(cs *counter.Set) { p.counters.Merge(cs) }
 
 // WarmRoundQuota keeps I-SPEED rounds at the minimum worthwhile length:

@@ -135,40 +135,10 @@ func (p *Proto) Evict(n *machine.Node, block mem.Addr, st mem.State, t Time) {}
 
 // ---- Functional warmup (machine.Warmer) --------------------------------
 
-// WarmReadMiss charges the Table 2 contention-free miss latency and advances
-// counters; the LambdaNet has no protocol state beyond the caches.
-func (p *Proto) WarmReadMiss(n *machine.Node, addr mem.Addr) (Time, mem.State) {
-	md := p.m.Model
-	sp := p.m.Space
-	if !sp.IsShared(addr) || sp.Home(addr) == n.ID {
-		p.counters.Inc(counter.LocalReads)
-		return md.L1TagCheck + md.L2TagCheck + md.MemBlockRead(Time(p.m.Cfg.L2Block)), mem.Clean
-	}
-	p.counters.Inc(counter.RemoteReads)
-	return md.LambdaMiss(), mem.Clean
-}
-
-// WarmDrain delivers one coalesced update functionally through the same
-// snooper walk the detailed path schedules.
-func (p *Proto) WarmDrain(n *machine.Node, e mem.WBEntry) {
-	if !e.Shared {
-		p.counters.Inc(counter.PrivateWrites)
-		return
-	}
-	p.counters.Inc(counter.Updates)
-	p.deliverUpdate(n.ID, e.Block)
-}
-
-// WarmEvict is a no-op like Evict: update coherence never writes back.
-func (p *Proto) WarmEvict(n *machine.Node, block mem.Addr, st mem.State) {}
-
-// WarmDrainLatency is the Table 3 contention-free 8-word write transaction.
-func (p *Proto) WarmDrainLatency() Time { return p.m.Model.CoherenceLambda(8) }
-
-// WarmRoundRead is WarmReadMiss under round isolation: the LambdaNet has no
-// shared protocol state, so only the counters move — into the node's scratch
-// bank.
-func (p *Proto) WarmRoundRead(n *machine.Node, addr mem.Addr) (Time, mem.State) {
+// WarmRead charges the Table 2 contention-free miss latency; the LambdaNet
+// has no protocol state beyond the caches, so only the counters move — into
+// the node's scratch bank.
+func (p *Proto) WarmRead(n *machine.Node, addr mem.Addr) (Time, mem.State) {
 	md := p.m.Model
 	sp := p.m.Space
 	if !sp.IsShared(addr) || sp.Home(addr) == n.ID {
@@ -179,9 +149,10 @@ func (p *Proto) WarmRoundRead(n *machine.Node, addr mem.Addr) (Time, mem.State) 
 	return md.LambdaMiss(), mem.Clean
 }
 
-// WarmRoundDrain defers the update delivery — the snooper walk touches other
-// nodes' caches — and counts into the scratch bank.
-func (p *Proto) WarmRoundDrain(n *machine.Node, e mem.WBEntry) {
+// WarmDrain delivers one coalesced update functionally: the snooper walk the
+// detailed path schedules touches other nodes' caches, so it goes through
+// n.Defer.
+func (p *Proto) WarmDrain(n *machine.Node, e mem.WBEntry) {
 	if !e.Shared {
 		n.RoundCounters().Inc(counter.PrivateWrites)
 		return
@@ -190,14 +161,17 @@ func (p *Proto) WarmRoundDrain(n *machine.Node, e mem.WBEntry) {
 	n.Defer(machine.WarmEffect{Kind: machine.EffUpdate, Block: e.Block})
 }
 
-// WarmApply replays a deferred update delivery (n is the recording writer).
+// WarmDrainLatency is the Table 3 contention-free 8-word write transaction.
+func (p *Proto) WarmDrainLatency() Time { return p.m.Model.CoherenceLambda(8) }
+
+// WarmApply performs a recorded update delivery (n is the recording writer).
 func (p *Proto) WarmApply(n *machine.Node, e machine.WarmEffect) {
 	if e.Kind == machine.EffUpdate {
 		p.deliverUpdate(n.ID, e.Block)
 	}
 }
 
-// WarmMerge folds a node's round-scratch counters into the protocol bank.
+// WarmMerge folds a node's scratch counters into the protocol bank.
 func (p *Proto) WarmMerge(cs *counter.Set) { p.counters.Merge(cs) }
 
 // WarmRoundQuota takes the full round budget: deferred update deliveries

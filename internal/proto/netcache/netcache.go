@@ -254,54 +254,12 @@ func (p *Proto) Evict(n *machine.Node, block mem.Addr, st mem.State, t Time) {}
 
 // ---- Functional warmup (machine.Warmer) --------------------------------
 
-// WarmReadMiss advances ring and counter state for a functional read miss:
-// the shared cache is probed (recency updated) and filled on a home fetch,
-// but no channel is arbitrated and race-FIFO residency is skipped — the
-// latency is the Section 5 contention-free estimate.
-func (p *Proto) WarmReadMiss(n *machine.Node, addr mem.Addr) (Time, mem.State) {
-	md := p.m.Model
-	sp := p.m.Space
-	home := sp.Home(addr)
-	if !sp.IsShared(addr) || home == n.ID {
-		p.counters.Inc(counter.LocalReads)
-		return md.L1TagCheck + md.L2TagCheck + md.MemBlockRead(Time(p.m.Cfg.L2Block)), mem.Clean
-	}
-	if p.rc != nil {
-		if hit, _ := p.rc.Lookup(addr, n.ID, n.Now()); hit {
-			n.St.SharedHits++
-			p.counters.Inc(counter.SharedHits)
-			return md.SharedCacheHit(), mem.Clean
-		}
-		p.rc.Insert(addr, home, n.Now())
-	}
-	p.counters.Inc(counter.HomeFetches)
-	return md.SharedCacheMiss(), mem.Clean
-}
-
-// WarmDrain delivers one coalesced update functionally: snoopers and the
-// ring copy are refreshed through the same deliverUpdate the detailed path
-// schedules, just immediately and without channel acquisition.
-func (p *Proto) WarmDrain(n *machine.Node, e mem.WBEntry) {
-	if !e.Shared {
-		p.counters.Inc(counter.PrivateWrites)
-		return
-	}
-	p.counters.Inc(counter.Updates)
-	p.deliverUpdate(n.ID, e.Block, n.Now())
-}
-
-// WarmEvict is a no-op like Evict: update coherence never writes back.
-func (p *Proto) WarmEvict(n *machine.Node, block mem.Addr, st mem.State) {}
-
-// WarmDrainLatency is the Table 3 contention-free 8-word write transaction.
-func (p *Proto) WarmDrainLatency() Time { return p.m.Model.CoherenceNetCache(8) }
-
-// WarmRoundRead is WarmReadMiss under round isolation: the ring is probed
-// through the read-only Contains (the same present/absent criterion Lookup
-// applies), and the recency touch or insertion is deferred for ID-ordered
-// replay. Latency and miss classification match WarmReadMiss against the
-// frozen ring state.
-func (p *Proto) WarmRoundRead(n *machine.Node, addr mem.Addr) (Time, mem.State) {
+// WarmRead services a functional read miss: the ring is probed through the
+// read-only Contains (the same present/absent criterion Lookup applies), and
+// the recency touch or the home fetch's insertion goes through n.Defer. No
+// channel is arbitrated and race-FIFO residency is skipped — the latency is
+// the Section 5 contention-free estimate.
+func (p *Proto) WarmRead(n *machine.Node, addr mem.Addr) (Time, mem.State) {
 	md := p.m.Model
 	sp := p.m.Space
 	home := sp.Home(addr)
@@ -322,9 +280,11 @@ func (p *Proto) WarmRoundRead(n *machine.Node, addr mem.Addr) (Time, mem.State) 
 	return md.SharedCacheMiss(), mem.Clean
 }
 
-// WarmRoundDrain defers the update delivery (snoopers, ring refresh, race
-// FIFO all touch shared state) and counts into the scratch bank.
-func (p *Proto) WarmRoundDrain(n *machine.Node, e mem.WBEntry) {
+// WarmDrain delivers one coalesced update functionally: the delivery
+// (snoopers, ring refresh, race FIFO all touch shared state) goes through
+// n.Defer to the same deliverUpdate the detailed path schedules, without
+// channel acquisition.
+func (p *Proto) WarmDrain(n *machine.Node, e mem.WBEntry) {
 	if !e.Shared {
 		n.RoundCounters().Inc(counter.PrivateWrites)
 		return
@@ -333,8 +293,11 @@ func (p *Proto) WarmRoundDrain(n *machine.Node, e mem.WBEntry) {
 	n.Defer(machine.WarmEffect{Kind: machine.EffUpdate, Block: e.Block, T: n.Now()})
 }
 
-// WarmApply replays one deferred effect (n is the recording node). Ring
-// probes re-run against the evolving replay state: a recorded hit touches
+// WarmDrainLatency is the Table 3 contention-free 8-word write transaction.
+func (p *Proto) WarmDrainLatency() Time { return p.m.Model.CoherenceNetCache(8) }
+
+// WarmApply performs one recorded effect (n is the recording node). Ring
+// probes re-run against the current ring state: a recorded hit touches
 // recency, a recorded miss inserts unless an earlier replay already did.
 func (p *Proto) WarmApply(n *machine.Node, e machine.WarmEffect) {
 	switch e.Kind {
@@ -349,7 +312,7 @@ func (p *Proto) WarmApply(n *machine.Node, e machine.WarmEffect) {
 	}
 }
 
-// WarmMerge folds a node's round-scratch counters into the protocol bank.
+// WarmMerge folds a node's scratch counters into the protocol bank.
 func (p *Proto) WarmMerge(cs *counter.Set) { p.counters.Merge(cs) }
 
 // WarmRoundQuota opts the ring-bearing system out of parallel rounds: the

@@ -157,8 +157,6 @@ type Server struct {
 	degraded  bool
 	lastProbe time.Time
 
-	validApps map[string]bool
-
 	// Cluster plumbing: lazily built per-peer clients, in-flight gossip
 	// pulls, and the rebalance loop's lifecycle and status.
 	peerMu      sync.Mutex
@@ -208,17 +206,13 @@ func New(cfg Config) *Server {
 	}
 	base, abort := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:       cfg,
-		m:         newMetrics(),
-		base:      base,
-		abort:     abort,
-		sem:       make(chan struct{}, cfg.Workers),
-		queue:     make(chan struct{}, cfg.Workers+cfg.QueueDepth),
-		calls:     make(map[string]*call),
-		validApps: make(map[string]bool),
-	}
-	for _, a := range netcache.Apps() {
-		s.validApps[a] = true
+		cfg:   cfg,
+		m:     newMetrics(),
+		base:  base,
+		abort: abort,
+		sem:   make(chan struct{}, cfg.Workers),
+		queue: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
+		calls: make(map[string]*call),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", s.chaos(s.handleRun))
@@ -458,8 +452,9 @@ type AppInfo struct {
 }
 
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
-	infos := make([]AppInfo, 0, len(s.validApps))
-	for _, name := range netcache.Apps() {
+	names := netcache.Apps()
+	infos := make([]AppInfo, 0, len(names))
+	for _, name := range names {
 		desc, input := netcache.DescribeApp(name)
 		infos = append(infos, AppInfo{Name: name, Desc: desc, Input: input})
 	}
@@ -583,8 +578,8 @@ func (s *Server) putSucceeded() {
 // authoritatively, never re-proxied, so disagreeing ring views can cost an
 // extra hop but never a loop.
 func (s *Server) execute(ctx context.Context, spec netcache.RunSpec, internode bool) outcome {
-	if !s.validApps[spec.App] {
-		return outcome{code: http.StatusBadRequest, errMsg: fmt.Sprintf("unknown application %q", spec.App)}
+	if err := spec.Validate(); err != nil {
+		return outcome{code: http.StatusBadRequest, errMsg: err.Error()}
 	}
 	key, err := spec.Key()
 	if err != nil {

@@ -153,6 +153,32 @@ func TestEndToEndStoreHit(t *testing.T) {
 	}
 }
 
+// TestInvalidSpecRejected: a spec the simulator cannot run is a contract
+// error. It gets a 400 before it is keyed or admitted, so nothing simulates,
+// nothing is cached, and neither a retrying client nor a proxying peer
+// repeats it (both retry a 500).
+func TestInvalidSpecRejected(t *testing.T) {
+	var sims atomic.Int32
+	_, c := start(t, Config{Workers: 1, RunFunc: countingRun(&sims)})
+	base := netcache.RunSpec{App: "sor", System: netcache.SystemNetCache, Scale: 0.05}
+	badProcs, badMode, badPeriod := base, base, base
+	badProcs.Config.Procs = 3
+	badMode.Sampling = &netcache.Sampling{Mode: "sometimes"}
+	badPeriod.Sampling = &netcache.Sampling{Mode: netcache.SampleStratified, Period: -1}
+	for name, spec := range map[string]netcache.RunSpec{
+		"Procs=3": badProcs, "Mode=sometimes": badMode, "Period=-1": badPeriod,
+	} {
+		_, err := c.RunRaw(context.Background(), spec)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Errorf("%s: error = %v, want a 400", name, err)
+		}
+	}
+	if n := sims.Load(); n != 0 {
+		t.Fatalf("%d simulations of invalid specs, want 0", n)
+	}
+}
+
 // TestConcurrentCoalescing: N concurrent identical requests collapse into
 // exactly one simulation, all answered byte-identically.
 func TestConcurrentCoalescing(t *testing.T) {

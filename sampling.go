@@ -81,17 +81,24 @@ func (s Sampling) withDefaults() Sampling {
 	return s
 }
 
-// plan converts the public config to the machine-layer plan.
-func (s *Sampling) plan() (machine.SamplePlan, error) {
-	d := s.withDefaults()
-	var stratified bool
-	switch d.Mode {
-	case SamplePeriodic:
-	case SampleStratified:
-		stratified = true
-	default:
-		return machine.SamplePlan{}, fmt.Errorf("netcache: unknown sampling mode %q (want %q or %q)", d.Mode, SamplePeriodic, SampleStratified)
+// validate checks an enabled config: a known mode and a non-negative Period
+// (plan would otherwise wrap a negative one to 2^64-1).
+func (s *Sampling) validate() error {
+	if !s.Enabled() {
+		return nil
 	}
+	if s.Mode != SamplePeriodic && s.Mode != SampleStratified {
+		return fmt.Errorf("netcache: unknown sampling mode %q (want %q or %q)", s.Mode, SamplePeriodic, SampleStratified)
+	}
+	if s.Period < 0 {
+		return fmt.Errorf("netcache: sampling Period = %d is negative", s.Period)
+	}
+	return nil
+}
+
+// plan converts a validated public config to the machine-layer plan.
+func (s *Sampling) plan() machine.SamplePlan {
+	d := s.withDefaults()
 	maxIntervals := d.Intervals
 	if maxIntervals < 0 {
 		maxIntervals = 0 // machine layer: 0 = unlimited
@@ -100,11 +107,11 @@ func (s *Sampling) plan() (machine.SamplePlan, error) {
 		IntervalRefs: d.IntervalRefs,
 		WarmupRefs:   d.WarmupRefs,
 		Period:       uint64(d.Period),
-		Stratified:   stratified,
+		Stratified:   d.Mode == SampleStratified,
 		Seed:         d.Seed,
 		MaxIntervals: maxIntervals,
 		Workers:      d.Workers,
-	}, nil
+	}
 }
 
 // Estimate is a sampled point estimate with an error bar: Mean ± Err is the

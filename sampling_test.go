@@ -203,6 +203,18 @@ func TestSamplingUnknownMode(t *testing.T) {
 	}
 }
 
+// TestSamplingNegativePeriod checks a negative period fails fast, before
+// simulation, instead of wrapping to an effectively unbounded period.
+func TestSamplingNegativePeriod(t *testing.T) {
+	_, err := Run(RunSpec{
+		App: "sor", System: SystemNetCache, Scale: 0.06,
+		Sampling: &Sampling{Mode: SampleStratified, Period: -1},
+	})
+	if err == nil || !strings.Contains(err.Error(), "Period") {
+		t.Fatalf("negative period error = %v", err)
+	}
+}
+
 // TestSampledWorkerInvariance pins the parallel fast-forward contract: the
 // Result — estimates, confidence intervals and the raw interval record
 // included — is byte-identical at every worker count, because rounds freeze

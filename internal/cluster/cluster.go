@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand/v2"
 	"sync"
 	"time"
+
+	"netcache/internal/loop"
 )
 
 // Config wires a Cluster.
@@ -68,11 +69,7 @@ type Cluster struct {
 	peers    map[string]*peerState // remote peers; Self is always up
 	onChange []func(Membership)
 	onPeerUp []func(peer string)
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-	probing  bool // StartProbes launched the loop; Close must join it
+	prober   *loop.Loop // nil until StartProbes
 }
 
 // New validates cfg and builds a Cluster at membership epoch 0. Every
@@ -111,8 +108,6 @@ func New(cfg Config) (*Cluster, error) {
 		rf:    cfg.Replication,
 		cfg:   cfg,
 		peers: make(map[string]*peerState),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
 	}
 	for _, p := range ring.Peers() {
 		if p != cfg.Self {
@@ -268,61 +263,27 @@ func (c *Cluster) ProbeNow(ctx context.Context) {
 	}
 }
 
-// StartProbes launches the background probe loop. It is a no-op without a
-// Probe function. Close stops it.
+// StartProbes launches the background probe loop, which runs ProbeNow
+// about every ProbeInterval, jittered ±25% so a fleet of peers started
+// together spreads its probe traffic instead of thundering in lockstep. It
+// is a no-op without a Probe function and on every call after the first.
+// Close stops it.
 func (c *Cluster) StartProbes() {
 	if c.cfg.Probe == nil {
 		return
 	}
 	c.mu.Lock()
-	if c.probing {
-		c.mu.Unlock()
-		return
+	defer c.mu.Unlock()
+	if c.prober == nil {
+		c.prober = loop.Start(c.cfg.ProbeInterval, c.ProbeNow)
 	}
-	c.probing = true
-	c.mu.Unlock()
-	go func() {
-		defer close(c.done)
-		// Jittered ±25% so a fleet of peers started together spreads its
-		// probe traffic instead of thundering in lockstep every period.
-		t := time.NewTimer(jitter(c.cfg.ProbeInterval))
-		defer t.Stop()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		go func() {
-			<-c.stop
-			cancel()
-		}()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-t.C:
-				c.ProbeNow(ctx)
-				t.Reset(jitter(c.cfg.ProbeInterval))
-			}
-		}
-	}()
 }
 
-// Close stops the probe loop, if started. Idempotent.
+// Close stops the probe loop, if started, cancelling a probe pass in
+// flight. Idempotent.
 func (c *Cluster) Close() {
-	c.stopOnce.Do(func() { close(c.stop) })
 	c.mu.Lock()
-	probing := c.probing
+	prober := c.prober
 	c.mu.Unlock()
-	if probing {
-		<-c.done
-	}
-}
-
-// jitter spreads a maintenance interval uniformly over [0.75d, 1.25d], the
-// same policy as the store compactor: the mean period stays d while
-// lockstep fleets desynchronize within a few periods.
-func jitter(d time.Duration) time.Duration {
-	if d <= time.Microsecond {
-		return d
-	}
-	half := int64(d) / 2
-	return time.Duration(int64(d) - half/2 + rand.Int64N(half+1))
+	prober.Stop()
 }

@@ -248,16 +248,13 @@ func (m *Machine) AttachSampler(plan SamplePlan) error {
 	if plan.Period == 0 {
 		plan.Period = 16
 	}
-	if plan.Workers <= 0 {
-		plan.Workers = runtime.GOMAXPROCS(0)
-	}
 	m.warm = w
 	m.warmDrainLat = w.WarmDrainLatency()
 	m.smp = &sampler{
 		m:          m,
 		plan:       plan,
 		period:     plan.Period,
-		workers:    plan.Workers,
+		workers:    runtime.GOMAXPROCS(0),
 		roundQuota: w.WarmRoundQuota(),
 		doneCh:     make(chan struct{}, len(m.Nodes)),
 	}

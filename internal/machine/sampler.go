@@ -40,13 +40,6 @@ type SamplePlan struct {
 	// length — long runs get the speedup of sparse sampling without losing
 	// late-phase coverage to a hard cutoff.
 	MaxIntervals int
-	// Workers bounds how many processors execute a functional round
-	// concurrently (non-positive: runtime.GOMAXPROCS(0)). Results are
-	// byte-identical at every worker count — rounds freeze shared state and
-	// replay deferred effects in node-ID order — so Workers trades wall clock
-	// only. Excluded from JSON: it parameterizes the execution strategy, not
-	// the experiment.
-	Workers int `json:"-"`
 }
 
 // Warmer is the protocol half of functional warmup: state-only transaction
@@ -316,7 +309,7 @@ type SampleStats struct {
 	// Rounds counts the parallel functional rounds executed (0 when the
 	// protocol opts out via WarmRoundQuota or the stretches were too short);
 	// RoundRefs totals the references executed inside them. Diagnostic only:
-	// both are invariant under SamplePlan.Workers.
+	// both are invariant under GOMAXPROCS.
 	Rounds    uint64 `json:",omitempty"`
 	RoundRefs uint64 `json:",omitempty"`
 	// Degraded marks a run too short to complete a single measured interval;

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -388,5 +391,32 @@ func TestChaosHTTPOnly(t *testing.T) {
 	}
 	if c.Breaker.State() != "closed" {
 		t.Fatalf("breaker %s after recoverable chaos", c.Breaker.State())
+	}
+}
+
+// TestChaosRequestsCountedByRoute: an injected 500 is counted under the
+// route that served it, not under its URL, so lookups of three different
+// keys add one netcached_requests_total series between them.
+func TestChaosRequestsCountedByRoute(t *testing.T) {
+	inj := faults.New(7)
+	inj.Set(faults.HTTPError, 1)
+	h := New(Config{Workers: 1, Inject: inj}).Handler()
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/result/"+testKey(fmt.Sprint("chaos-", i)), nil))
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("lookup %d: status %d, want an injected 500", i, rec.Code)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var series []string
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, `netcached_requests_total{path="/v1/result`) {
+			series = append(series, line)
+		}
+	}
+	if want := `netcached_requests_total{path="/v1/result",code="500"} 3`; len(series) != 1 || series[0] != want {
+		t.Fatalf("request series %q; want exactly [%s]", series, want)
 	}
 }

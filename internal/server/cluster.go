@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
@@ -182,25 +181,24 @@ const maxPushBytes = 64 << 20
 // simulates — the upstream read-through primitive.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, "/v1/result", http.StatusMethodNotAllowed, "GET only")
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	key := strings.TrimPrefix(r.URL.Path, "/v1/result/")
 	if !validResultKey(key) {
-		s.writeError(w, "/v1/result", http.StatusBadRequest, "key must be 64 hex chars")
+		writeError(w, http.StatusBadRequest, "key must be 64 hex chars")
 		return
 	}
 	if s.cfg.Store == nil {
-		s.writeError(w, "/v1/result", http.StatusNotFound, "no store configured")
+		writeError(w, http.StatusNotFound, "no store configured")
 		return
 	}
 	body, ok := s.cfg.Store.Get(key)
 	if !ok {
-		s.writeError(w, "/v1/result", http.StatusNotFound, "not cached")
+		writeError(w, http.StatusNotFound, "not cached")
 		return
 	}
 	s.m.add(&s.m.storeServed)
-	s.m.request("/v1/result", http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
 }
@@ -231,7 +229,7 @@ type ClusterResponse struct {
 // enabled=false.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, "/v1/cluster", http.StatusMethodNotAllowed, "GET only")
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	var resp ClusterResponse
@@ -249,17 +247,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Upstream != nil {
 		resp.Upstream = s.cfg.Upstream.BaseURL
 	}
-	s.m.request("/v1/cluster", http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// jitter spreads a maintenance interval uniformly over [0.75d, 1.25d]; see
-// the store compactor, which uses the same policy.
-func jitter(d time.Duration) time.Duration {
-	if d <= time.Microsecond {
-		return d
-	}
-	half := int64(d) / 2
-	return time.Duration(int64(d) - half/2 + rand.Int64N(half+1))
 }

@@ -130,7 +130,7 @@ func (s *Server) pushMembership(m cluster.Membership, targets []string) {
 func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	cl := s.cfg.Cluster
 	if cl == nil {
-		s.writeError(w, "/v1/cluster/membership", http.StatusNotFound, "not clustered")
+		writeError(w, http.StatusNotFound, "not clustered")
 		return
 	}
 	switch r.Method {
@@ -139,17 +139,17 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		var req MembershipRequest
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-			s.writeError(w, "/v1/cluster/membership", http.StatusBadRequest, "bad request: "+err.Error())
+			writeError(w, http.StatusBadRequest, "bad request: "+err.Error())
 			return
 		}
 		switch req.Action {
 		case membershipActionAdopt:
 			if req.Membership == nil {
-				s.writeError(w, "/v1/cluster/membership", http.StatusBadRequest, "adopt requires a membership")
+				writeError(w, http.StatusBadRequest, "adopt requires a membership")
 				return
 			}
 			if _, err := cl.Adopt(*req.Membership); err != nil {
-				s.writeError(w, "/v1/cluster/membership", http.StatusBadRequest, err.Error())
+				writeError(w, http.StatusBadRequest, err.Error())
 				return
 			}
 			s.writeMembership(w, cl.Membership())
@@ -157,7 +157,7 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 			old := cl.Membership()
 			m, err := cl.Update(req.Action, req.Peer)
 			if err != nil {
-				s.writeError(w, "/v1/cluster/membership", http.StatusBadRequest, err.Error())
+				writeError(w, http.StatusBadRequest, err.Error())
 				return
 			}
 			s.cfg.Log.Printf("cluster: membership %s %s -> epoch %d (%d peers)", req.Action, req.Peer, m.Epoch, len(m.Peers))
@@ -168,15 +168,14 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 			s.pushMembership(m, targets)
 			s.writeMembership(w, m)
 		default:
-			s.writeError(w, "/v1/cluster/membership", http.StatusBadRequest, "unknown action "+strconv.Quote(req.Action))
+			writeError(w, http.StatusBadRequest, "unknown action "+strconv.Quote(req.Action))
 		}
 	default:
-		s.writeError(w, "/v1/cluster/membership", http.StatusMethodNotAllowed, "GET or POST")
+		writeError(w, http.StatusMethodNotAllowed, "GET or POST")
 	}
 }
 
 func (s *Server) writeMembership(w http.ResponseWriter, m cluster.Membership) {
-	s.m.request("/v1/cluster/membership", http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(m)
 }

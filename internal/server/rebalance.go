@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"netcache/internal/cluster"
+	"netcache/internal/loop"
 )
 
 // Replica repair: the rebalance pass.
@@ -38,9 +39,10 @@ import (
 // and the -rebalance-interval timer wake it; the timer doubles as the
 // retry schedule. Pushes are paced by -rebalance-rate. Progress persists
 // as the store's cursor, which advances past whole ranges and only while
-// the pass has left nothing undone, so a crash resumes at or before the
-// first failure. A pass stops as soon as a newer epoch is adopted; the
-// adoption's wake restarts it against the new ring.
+// the pass has left nothing undone, so a crash, or a shutdown that cancels
+// the pass, resumes at or before the first failure. A pass stops as soon
+// as a newer epoch is adopted; the adoption's wake restarts it against the
+// new ring.
 //
 // Decommission needs nothing extra: a node that has left the membership
 // replicates nothing, so the same pass drains its entire store to the new
@@ -94,56 +96,17 @@ type RebalanceStatus struct {
 	Errors  uint64 `json:"errors"`
 }
 
-// startRebalance launches the loop that runs the pass.
+// startRebalance launches the loop that runs the pass. Its wakes are
+// registered before any membership change can land.
 func (s *Server) startRebalance() {
 	interval := s.cfg.RebalanceInterval
 	if interval <= 0 {
 		interval = 30 * time.Second
 	}
-	s.rebalStop = make(chan struct{})
-	s.rebalDone = make(chan struct{})
-	s.rebalWake = make(chan struct{}, 1)
-	wake := func() {
-		select {
-		case s.rebalWake <- struct{}{}:
-		default:
-		}
-	}
-	s.cfg.Cluster.OnChange(func(cluster.Membership) { wake() })
-	s.cfg.Cluster.OnPeerUp(func(string) { wake() })
-	go func() {
-		defer close(s.rebalDone)
-		t := time.NewTimer(jitter(interval))
-		defer t.Stop()
-		for {
-			select {
-			case <-s.rebalStop:
-				return
-			case <-s.rebalWake:
-			case <-t.C:
-			}
-			s.RebalancePass(s.base)
-			// Drain a tick that fired while the pass ran, so slow passes
-			// still leave a full idle interval between walks instead of
-			// running back to back.
-			if !t.Stop() {
-				select {
-				case <-t.C:
-				default:
-				}
-			}
-			t.Reset(jitter(interval))
-		}
-	}()
-}
-
-// stopRebalance stops the loop, if running. Idempotent.
-func (s *Server) stopRebalance() {
-	if s.rebalStop == nil {
-		return
-	}
-	s.rebalOnce.Do(func() { close(s.rebalStop) })
-	<-s.rebalDone
+	l := loop.Start(interval, func(ctx context.Context) { s.RebalancePass(ctx) })
+	s.cfg.Cluster.OnChange(func(cluster.Membership) { l.Wake() })
+	s.cfg.Cluster.OnPeerUp(func(string) { l.Wake() })
+	s.rebalancer = l
 }
 
 // RebalanceStatus snapshots the pass's progress.
@@ -286,7 +249,7 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 			}
 			sent = true
 			failed := 0
-			for _, o := range s.transfer(ctx, "rebalance", peer, keys, afterPush) {
+			for _, o := range s.transfer(ctx, peer, keys, afterPush) {
 				switch o {
 				case transferStored:
 					moved++
@@ -356,19 +319,18 @@ func rangeEnd(r int) string {
 // digest of this node's resident keys that both it and P replicate.
 // Chaos-exempt, like the other introspection endpoints.
 func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
-	const path = "/v1/cluster/digest"
 	if r.Method != http.MethodGet {
-		s.writeError(w, path, http.StatusMethodNotAllowed, "GET only")
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	cl := s.cfg.Cluster
 	if cl == nil || s.cfg.Store == nil {
-		s.writeError(w, path, http.StatusNotFound, "not clustered")
+		writeError(w, http.StatusNotFound, "not clustered")
 		return
 	}
 	peer := r.URL.Query().Get("peer")
 	if peer == "" {
-		s.writeError(w, path, http.StatusBadRequest, "peer is required")
+		writeError(w, http.StatusBadRequest, "peer is required")
 		return
 	}
 	epoch, ring := cl.View()
@@ -378,7 +340,6 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 			resp.Ranges[i] = work[i].digest
 		}
 	}
-	s.m.request(path, http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }

@@ -54,6 +54,7 @@ import (
 	"netcache"
 	"netcache/internal/cluster"
 	"netcache/internal/faults"
+	"netcache/internal/loop"
 	"netcache/internal/runner"
 	"netcache/internal/store"
 )
@@ -158,15 +159,12 @@ type Server struct {
 	lastProbe time.Time
 
 	// Cluster plumbing: lazily built per-peer clients, in-flight gossip
-	// pulls, and the rebalance loop's lifecycle and status.
+	// pulls, and the rebalance loop and its status.
 	peerMu      sync.Mutex
 	peerClients map[string]*Client
 	syncing     map[string]bool // peers with a membership pull in flight
-	rebalStop   chan struct{}
-	rebalDone   chan struct{}
-	rebalWake   chan struct{}
-	rebalOnce   sync.Once
-	passMu      sync.Mutex // one rebalance pass at a time
+	rebalancer  *loop.Loop      // nil without both Cluster and Store
+	passMu      sync.Mutex      // one rebalance pass at a time
 	rebalMu     sync.Mutex
 	rebal       RebalanceStatus
 }
@@ -215,21 +213,21 @@ func New(cfg Config) *Server {
 		calls: make(map[string]*call),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/run", s.chaos(s.handleRun))
-	mux.HandleFunc("/v1/batch", s.chaos(s.handleBatch))
-	mux.HandleFunc("/v1/apps", s.chaos(s.handleApps))
-	mux.HandleFunc("/v1/result/", s.chaos(s.handleResult))
-	mux.HandleFunc("/v1/results", s.chaos(s.handlePush))
-	mux.HandleFunc("/v1/results/missing", s.chaos(s.handleMissing))
+	s.route(mux, "/v1/run", s.chaos(s.handleRun))
+	s.route(mux, "/v1/batch", s.chaos(s.handleBatch))
+	s.route(mux, "/v1/apps", s.chaos(s.handleApps))
+	s.route(mux, "/v1/result/", s.chaos(s.handleResult))
+	s.route(mux, "/v1/results", s.chaos(s.handlePush))
+	s.route(mux, "/v1/results/missing", s.chaos(s.handleMissing))
 	// Like /healthz and /metrics, /v1/stats and the cluster control-plane
 	// endpoints are exempt from chaos injection so fault storms stay
 	// observable and operators can reshape the ring mid-storm.
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/cluster", s.handleCluster)
-	mux.HandleFunc("/v1/cluster/membership", s.handleMembership)
-	mux.HandleFunc("/v1/cluster/digest", s.handleDigest)
-	mux.HandleFunc("/healthz", s.handleHealth)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	s.route(mux, "/v1/stats", s.handleStats)
+	s.route(mux, "/v1/cluster", s.handleCluster)
+	s.route(mux, "/v1/cluster/membership", s.handleMembership)
+	s.route(mux, "/v1/cluster/digest", s.handleDigest)
+	s.route(mux, "/healthz", s.handleHealth)
+	s.route(mux, "/metrics", s.handleMetrics)
 	// Every response from a clustered node carries its membership epoch,
 	// and inter-node requests are watched for newer epochs (gossip).
 	s.http.Handler = s.epochWrap(mux)
@@ -245,6 +243,30 @@ func New(cfg Config) *Server {
 		}
 	}
 	return s
+}
+
+// route registers h at pattern and counts every response it writes in
+// netcached_requests_total under the pattern, so a key in the URL never
+// becomes a label value. A handler that panics (an injected disconnect) is
+// not counted.
+func (s *Server) route(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
+	path := strings.TrimSuffix(pattern, "/")
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		h(sw, r)
+		s.m.request(path, sw.code)
+	})
+}
+
+// statusWriter records the status code a handler answers with.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
 }
 
 // maxChaosLatency bounds the injected per-request delay at the
@@ -267,7 +289,7 @@ func (s *Server) chaos(h http.HandlerFunc) http.HandlerFunc {
 			panic(http.ErrAbortHandler)
 		}
 		if s.cfg.Inject.Fire(faults.HTTPError) {
-			s.writeError(w, r.URL.Path, http.StatusInternalServerError, "chaos: injected server error")
+			writeError(w, http.StatusInternalServerError, "chaos: injected server error")
 			return
 		}
 		h(w, r)
@@ -286,7 +308,8 @@ func (s *Server) Serve(l net.Listener) error {
 	return err
 }
 
-// Shutdown drains the server: new simulations are refused immediately,
+// Shutdown drains the server: the probe and rebalance loops stop at once,
+// cancelling a pass in flight, new simulations are refused immediately,
 // in-flight ones run to completion until ctx's deadline, and past it the
 // engines are aborted through the Interrupt path. It returns once every
 // simulation has joined and the listeners are closed.
@@ -295,12 +318,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.closing = true
 	s.mu.Unlock()
 
-	// Stop the cluster loops first: no new probes or rebalance passes
-	// while draining.
+	// Stop the cluster loops first: no background traffic while draining.
+	// An interrupted rebalance pass resumes from its cursor at next boot.
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.Close()
 	}
-	s.stopRebalance()
+	s.rebalancer.Stop()
 
 	drained := make(chan struct{})
 	go func() {
@@ -327,22 +350,20 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) writeError(w http.ResponseWriter, path string, code int, msg string) {
-	s.m.request(path, code)
+func writeError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(errorBody{Error: msg})
 }
 
-func (s *Server) writeOutcome(w http.ResponseWriter, path string, out outcome) {
+func (s *Server) writeOutcome(w http.ResponseWriter, out outcome) {
 	if out.code != http.StatusOK {
 		if out.code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
 		}
-		s.writeError(w, path, out.code, out.errMsg)
+		writeError(w, out.code, out.errMsg)
 		return
 	}
-	s.m.request(path, http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(out.body)
 }
@@ -373,15 +394,15 @@ func (s *Server) retryAfterSeconds() int {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, "/v1/run", http.StatusMethodNotAllowed, "POST a RunSpec")
+		writeError(w, http.StatusMethodNotAllowed, "POST a RunSpec")
 		return
 	}
 	var spec netcache.RunSpec
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
-		s.writeError(w, "/v1/run", http.StatusBadRequest, "bad spec: "+err.Error())
+		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
 	}
-	s.writeOutcome(w, "/v1/run", s.execute(r.Context(), spec, isInternode(r)))
+	s.writeOutcome(w, s.execute(r.Context(), spec, isInternode(r)))
 }
 
 // BatchRequest is the POST /v1/batch body.
@@ -403,16 +424,16 @@ type BatchResponse struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, "/v1/batch", http.StatusMethodNotAllowed, "POST a spec list")
+		writeError(w, http.StatusMethodNotAllowed, "POST a spec list")
 		return
 	}
 	var req BatchRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
-		s.writeError(w, "/v1/batch", http.StatusBadRequest, "bad batch: "+err.Error())
+		writeError(w, http.StatusBadRequest, "bad batch: "+err.Error())
 		return
 	}
 	if len(req.Specs) == 0 {
-		s.writeError(w, "/v1/batch", http.StatusBadRequest, "empty batch")
+		writeError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	// Fan the members out on the same worker-pool machinery RunBatch uses;
@@ -439,7 +460,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = e
 	}
-	s.m.request("/v1/batch", http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
@@ -458,7 +478,6 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 		desc, input := netcache.DescribeApp(name)
 		infos = append(infos, AppInfo{Name: name, Desc: desc, Input: input})
 	}
-	s.m.request("/v1/apps", http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(infos)
 }
@@ -474,7 +493,7 @@ type StatsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, "/v1/stats", http.StatusMethodNotAllowed, "GET only")
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	resp := StatsResponse{Degraded: s.Degraded()}
@@ -482,7 +501,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.HasStore = true
 		resp.Store = s.cfg.Store.Stats()
 	}
-	s.m.request("/v1/stats", http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
@@ -495,10 +513,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	closing, degraded := s.closing, s.degraded
 	s.mu.Unlock()
 	if closing {
-		s.writeError(w, "/healthz", http.StatusServiceUnavailable, "draining")
+		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	s.m.request("/healthz", http.StatusOK)
 	if degraded {
 		w.Write([]byte("degraded\n"))
 		return
@@ -512,7 +529,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	var b strings.Builder
 	s.m.render(&b, s, degraded)
-	s.m.request("/metrics", http.StatusOK)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.Write([]byte(b.String()))
 }

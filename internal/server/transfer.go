@@ -141,22 +141,22 @@ func readCapped(r io.Reader, declared, max int64) ([]byte, error) {
 
 // readTransfer reads a transfer request body, answering the error itself
 // when it fails.
-func (s *Server) readTransfer(w http.ResponseWriter, r *http.Request, path string, max int64) ([]byte, bool) {
+func (s *Server) readTransfer(w http.ResponseWriter, r *http.Request, max int64) ([]byte, bool) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, path, http.StatusMethodNotAllowed, "POST only")
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return nil, false
 	}
 	if s.cfg.Store == nil {
-		s.writeError(w, path, http.StatusNotImplemented, "no store configured")
+		writeError(w, http.StatusNotImplemented, "no store configured")
 		return nil, false
 	}
 	body, err := readCapped(r.Body, r.ContentLength, max)
 	switch {
 	case errors.Is(err, errBodyTooLarge):
-		s.writeError(w, path, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d-byte cap", max))
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d-byte cap", max))
 		return nil, false
 	case err != nil:
-		s.writeError(w, path, http.StatusBadRequest, "reading body: "+err.Error())
+		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return nil, false
 	}
 	return body, true
@@ -167,23 +167,22 @@ func (s *Server) readTransfer(w http.ResponseWriter, r *http.Request, path strin
 // returns it checksum-verified; the check never returns values and never
 // disturbs the LRU.
 func (s *Server) handleMissing(w http.ResponseWriter, r *http.Request) {
-	const path = "/v1/results/missing"
-	body, ok := s.readTransfer(w, r, path, maxMissingBytes)
+	body, ok := s.readTransfer(w, r, maxMissingBytes)
 	if !ok {
 		return
 	}
 	var req MissingRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		s.writeError(w, path, http.StatusBadRequest, "bad request: "+err.Error())
+		writeError(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
 	if len(req.Keys) > transferBatchKeys {
-		s.writeError(w, path, http.StatusRequestEntityTooLarge, fmt.Sprintf("%d keys exceed the %d-key cap", len(req.Keys), transferBatchKeys))
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%d keys exceed the %d-key cap", len(req.Keys), transferBatchKeys))
 		return
 	}
 	for _, key := range req.Keys {
 		if !validResultKey(key) {
-			s.writeError(w, path, http.StatusBadRequest, "key must be 64 hex chars")
+			writeError(w, http.StatusBadRequest, "key must be 64 hex chars")
 			return
 		}
 	}
@@ -193,7 +192,6 @@ func (s *Server) handleMissing(w http.ResponseWriter, r *http.Request) {
 			resp.Missing = append(resp.Missing, key)
 		}
 	}
-	s.m.request(path, http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
@@ -203,23 +201,22 @@ func (s *Server) handleMissing(w http.ResponseWriter, r *http.Request) {
 // body (broken framing, too many frames, over the byte cap) stores
 // nothing.
 func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
-	const path = "/v1/results"
-	body, ok := s.readTransfer(w, r, path, maxPushBytes)
+	body, ok := s.readTransfer(w, r, maxPushBytes)
 	if !ok {
 		return
 	}
 	frames, err := decodeFrames(body, transferBatchKeys)
 	switch {
 	case errors.Is(err, errTooManyFrames):
-		s.writeError(w, path, http.StatusRequestEntityTooLarge, fmt.Sprintf("push exceeds the %d-entry cap", transferBatchKeys))
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("push exceeds the %d-entry cap", transferBatchKeys))
 		return
 	case err != nil:
-		s.writeError(w, path, http.StatusBadRequest, err.Error())
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if !s.allowPut() {
 		// Degraded: the pusher counts the keys owed and retries later.
-		s.writeError(w, path, http.StatusServiceUnavailable, "store degraded; retry later")
+		writeError(w, http.StatusServiceUnavailable, "store degraded; retry later")
 		return
 	}
 	resp := PushResponse{Results: make([]PushOutcome, len(frames))}
@@ -241,7 +238,6 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 			out.Status = http.StatusOK
 		}
 	}
-	s.m.request(path, http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
@@ -264,9 +260,8 @@ const (
 // requests of at most transferBatchBytes. A push that fails in transport
 // marks the peer down and ends the transfer; a status error fails only
 // that push. afterPush, when set, runs after every delivered push with the
-// number of keys it carried and ends the transfer by returning false. loop
-// names the caller in log lines.
-func (s *Server) transfer(ctx context.Context, loop, peer string, keys []string, afterPush func(sent int) bool) []transferOutcome {
+// number of keys it carried and ends the transfer by returning false.
+func (s *Server) transfer(ctx context.Context, peer string, keys []string, afterPush func(sent int) bool) []transferOutcome {
 	out := make([]transferOutcome, len(keys))
 	c := s.peerClient(peer)
 	var (
@@ -282,7 +277,7 @@ func (s *Server) transfer(ctx context.Context, loop, peer string, keys []string,
 			if r.Status == http.StatusOK {
 				out[idx[j]] = transferStored
 			} else {
-				s.cfg.Log.Printf("%s: push %s -> %s: %d %s", loop, frames[j].Key[:8], peer, r.Status, r.Error)
+				s.cfg.Log.Printf("rebalance: push %s -> %s: %d %s", frames[j].Key[:8], peer, r.Status, r.Error)
 			}
 		}
 		frames, idx, size = frames[:0], idx[:0], 0
@@ -293,10 +288,10 @@ func (s *Server) transfer(ctx context.Context, loop, peer string, keys []string,
 		case ctx.Err() != nil:
 			return false
 		case errors.As(err, &se):
-			s.cfg.Log.Printf("%s: push %d keys -> %s: %v", loop, sent, peer, err)
+			s.cfg.Log.Printf("rebalance: push %d keys -> %s: %v", sent, peer, err)
 			return true
 		default:
-			s.cfg.Log.Printf("%s: push %d keys -> %s: %v", loop, sent, peer, err)
+			s.cfg.Log.Printf("rebalance: push %d keys -> %s: %v", sent, peer, err)
 			s.cfg.Cluster.MarkDown(peer)
 			return false
 		}

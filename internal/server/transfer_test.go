@@ -301,7 +301,7 @@ func TestTransferBatchesByBudget(t *testing.T) {
 	var sent []int
 	record := func(n int) bool { sent = append(sent, n); return true }
 
-	out := a.srv.transfer(ctx, "test", b.url, keys, record)
+	out := a.srv.transfer(ctx, b.url, keys, record)
 	want := []transferOutcome{transferStored, transferStored, transferStored, transferStored, transferGone}
 	if fmt.Sprint(out) != fmt.Sprint(want) || fmt.Sprint(sent) != "[2 1 1]" {
 		t.Fatalf("first transfer: outcomes %v, pushes of %v keys; want %v and [2 1 1]", out, sent, want)
@@ -311,7 +311,7 @@ func TestTransferBatchesByBudget(t *testing.T) {
 	}
 
 	sent = nil
-	out = a.srv.transfer(ctx, "test", b.url, keys[:4], record)
+	out = a.srv.transfer(ctx, b.url, keys[:4], record)
 	if fmt.Sprint(out) != fmt.Sprint([]transferOutcome{transferPresent, transferPresent, transferPresent, transferPresent}) || len(sent) != 0 {
 		t.Fatalf("second transfer: outcomes %v, pushes %v; want all present, no push", out, sent)
 	}
@@ -589,5 +589,48 @@ func TestRebalanceRateHoldsOnAverage(t *testing.T) {
 	src.srv.RebalancePass(ctx)
 	if d := time.Since(start); d >= capped {
 		t.Fatalf("cancelled pass took %v; the rate sleep ignored the shutdown", d)
+	}
+}
+
+// TestShutdownCancelsRebalancePass: Shutdown cancels a rebalance pass in
+// flight instead of waiting it out past the drain deadline. A peer flap
+// wakes A's loop, whose pass pushes 60 owed keys of one key range in one
+// request and then sleeps 3 s to hold a 20 keys/s rate; Shutdown with a
+// 200 ms deadline must return well inside that sleep.
+func TestShutdownCancelsRebalancePass(t *testing.T) {
+	const keys, rate = 60, 20
+	nodes := startCluster(t, 2, 1, func(i int, cfg *Config) {
+		manualLoops(i, cfg)
+		cfg.RebalanceRate = rate
+	})
+	a, b := nodes[0], nodes[1]
+	waitFor(t, "peers to probe up", func() bool { return a.cl.Up(b.url) })
+	var owed []string
+	for i := 0; len(owed) < keys; i++ {
+		if key := testKey(fmt.Sprint("shutdown-", i)); keyRange(key) == 0 && a.cl.Owner(key) == b.url {
+			if err := a.st.Put(key, []byte(fmt.Sprintf(`{"shutdown":%d}`, i))); err != nil {
+				t.Fatal(err)
+			}
+			owed = append(owed, key)
+		}
+	}
+	a.cl.MarkDown(b.url) // the next probe marks B up, which wakes the pass
+	waitFor(t, "the woken pass to push every key", func() bool {
+		for _, key := range owed {
+			if _, ok := b.st.Peek(key); !ok {
+				return false
+			}
+		}
+		return true
+	})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := a.srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Shutdown took %v with a 200 ms deadline: it waited out the pass's rate sleep", d)
 	}
 }

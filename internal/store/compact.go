@@ -1,8 +1,10 @@
 package store
 
 import (
-	"math/rand/v2"
+	"context"
 	"time"
+
+	"netcache/internal/loop"
 )
 
 // rewriteLiveFrac: a segment whose record region is less than this fraction
@@ -79,46 +81,14 @@ func (s *Store) migrate() (migrated int) {
 
 // StartCompactor runs Compact about every interval (jittered ±25% so N
 // daemons sharing a filesystem don't compact in lockstep) on a background
-// goroutine until Close. A second call replaces the previous compactor.
+// loop until Close. A second call replaces the previous compactor.
 func (s *Store) StartCompactor(interval time.Duration) {
 	if interval <= 0 {
 		return
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
 	s.mu.Lock()
-	prevStop, prevDone := s.compactStop, s.compactDone
-	s.compactStop, s.compactDone = stop, done
+	prev := s.compactor
+	s.compactor = loop.Start(interval, func(context.Context) { s.Compact() })
 	s.mu.Unlock()
-	if prevStop != nil {
-		close(prevStop)
-		<-prevDone
-	}
-	go func() {
-		defer close(done)
-		t := time.NewTimer(jitter(interval))
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				s.Compact()
-				t.Reset(jitter(interval))
-			}
-		}
-	}()
-}
-
-// jitter spreads a maintenance interval uniformly over [0.75d, 1.25d]:
-// enough spread that a fleet of daemons started together (or sharing one
-// filesystem) desynchronizes within a few periods, while the mean period
-// stays d. Unlike the simulation path, maintenance timing is free to be
-// nondeterministic.
-func jitter(d time.Duration) time.Duration {
-	if d <= time.Microsecond {
-		return d
-	}
-	half := int64(d) / 2
-	return time.Duration(int64(d) - half/2 + rand.Int64N(half+1))
+	prev.Stop()
 }

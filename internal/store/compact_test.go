@@ -483,36 +483,6 @@ func TestCrashMidPutBudget(t *testing.T) {
 	checkAccounting(t, s2)
 }
 
-// TestJitterBounds: maintenance jitter stays within ±25% of the interval
-// and passes tiny intervals through untouched (tests use those to mean
-// "immediately").
-func TestJitterBounds(t *testing.T) {
-	for _, d := range []time.Duration{10 * time.Millisecond, time.Second, time.Hour} {
-		lo, hi := d, d
-		for i := 0; i < 2000; i++ {
-			j := jitter(d)
-			if j < lo {
-				lo = j
-			}
-			if j > hi {
-				hi = j
-			}
-		}
-		if min := time.Duration(float64(d) * 0.75); lo < min {
-			t.Fatalf("jitter(%v) went low: %v < %v", d, lo, min)
-		}
-		if max := time.Duration(float64(d) * 1.25); hi > max {
-			t.Fatalf("jitter(%v) went high: %v > %v", d, hi, max)
-		}
-		if lo == hi {
-			t.Fatalf("jitter(%v) never varied across 2000 draws", d)
-		}
-	}
-	if got := jitter(time.Microsecond); got != time.Microsecond {
-		t.Fatalf("jitter(1µs) = %v, want passthrough", got)
-	}
-}
-
 // TestBackgroundCompactorRuns: StartCompactor actually migrates on its own.
 func TestBackgroundCompactorRuns(t *testing.T) {
 	s, err := OpenOptions(t.TempDir(), coldOpts())

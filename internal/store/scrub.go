@@ -1,10 +1,13 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
+
+	"netcache/internal/loop"
 )
 
 // Scrub revalidates checksums in both tiers and quarantines what fails:
@@ -104,34 +107,15 @@ func (s *Store) scrubColdOne(ref coldRef) bool {
 }
 
 // StartScrubber runs Scrub about every interval (jittered ±25%, like the
-// compactor, so fleets desynchronize) on a background goroutine until
-// Close. A second call replaces the previous scrubber.
+// compactor, so fleets desynchronize) on a background loop until Close. A
+// second call replaces the previous scrubber.
 func (s *Store) StartScrubber(interval time.Duration) {
 	if interval <= 0 {
 		return
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
 	s.mu.Lock()
-	prevStop, prevDone := s.scrubStop, s.scrubDone
-	s.scrubStop, s.scrubDone = stop, done
+	prev := s.scrubber
+	s.scrubber = loop.Start(interval, func(context.Context) { s.Scrub() })
 	s.mu.Unlock()
-	if prevStop != nil {
-		close(prevStop)
-		<-prevDone
-	}
-	go func() {
-		defer close(done)
-		t := time.NewTimer(jitter(interval))
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				s.Scrub()
-				t.Reset(jitter(interval))
-			}
-		}
-	}()
+	prev.Stop()
 }

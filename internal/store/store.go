@@ -41,6 +41,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"netcache/internal/loop"
 )
 
 // quarantineDir is the subdirectory corrupt entries are moved into by the
@@ -131,10 +133,8 @@ type Store struct {
 	// walks directories and rewrites segments — one enforcer at a time.
 	budgetMu sync.Mutex
 
-	scrubStop   chan struct{} // non-nil while a background scrubber runs
-	scrubDone   chan struct{}
-	compactStop chan struct{} // non-nil while a background compactor runs
-	compactDone chan struct{}
+	scrubber  *loop.Loop // nil until StartScrubber
+	compactor *loop.Loop // nil until StartCompactor
 }
 
 // Open creates (if needed) and scans dir. maxBytes <= 0 disables eviction.
@@ -206,23 +206,16 @@ func OpenOptions(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// Close stops the background scrubber and compactor, if started. The store
-// itself holds no other resources.
+// Close stops the background scrubber and compactor, if started, after
+// the pass each may have in flight. The store itself holds no other
+// resources.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	stops := [][2]chan struct{}{
-		{s.scrubStop, s.scrubDone},
-		{s.compactStop, s.compactDone},
-	}
-	s.scrubStop, s.scrubDone = nil, nil
-	s.compactStop, s.compactDone = nil, nil
+	scrubber, compactor := s.scrubber, s.compactor
+	s.scrubber, s.compactor = nil, nil
 	s.mu.Unlock()
-	for _, sd := range stops {
-		if sd[0] != nil {
-			close(sd[0])
-			<-sd[1]
-		}
-	}
+	scrubber.Stop()
+	compactor.Stop()
 	return nil
 }
 

@@ -41,12 +41,6 @@ type Sampling struct {
 	Intervals int `json:",omitempty"`
 	// Seed drives stratified placement.
 	Seed uint64 `json:",omitempty"`
-	// Workers bounds how many processors advance concurrently inside the
-	// functional fast-forward rounds (non-positive: runtime.GOMAXPROCS(0)).
-	// Results are byte-identical at every worker count, so Workers trades
-	// wall clock only; it is excluded from the spec encoding (and the store
-	// key) because it does not parameterize the experiment.
-	Workers int `json:"-"`
 }
 
 // Sampling mode names.
@@ -110,7 +104,6 @@ func (s *Sampling) plan() machine.SamplePlan {
 		Stratified:   d.Mode == SampleStratified,
 		Seed:         d.Seed,
 		MaxIntervals: maxIntervals,
-		Workers:      d.Workers,
 	}
 }
 

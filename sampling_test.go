@@ -217,16 +217,20 @@ func TestSamplingNegativePeriod(t *testing.T) {
 
 // TestSampledWorkerInvariance pins the parallel fast-forward contract: the
 // Result — estimates, confidence intervals and the raw interval record
-// included — is byte-identical at every worker count, because rounds freeze
-// shared state and replay deferred effects in node-ID order. The reference
-// run must actually execute rounds, or the test would vacuously pass.
+// included — is byte-identical at every GOMAXPROCS, which bounds the round
+// workers, because rounds freeze shared state and replay deferred effects
+// in node-ID order. The reference run must actually execute rounds, or the
+// test would vacuously pass.
 func TestSampledWorkerInvariance(t *testing.T) {
-	run := func(workers int) ([]byte, Result) {
+	orig := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(orig)
+	run := func(procs int) ([]byte, Result) {
+		runtime.GOMAXPROCS(procs)
 		spec := RunSpec{
 			App: "sor", System: SystemDMONU, Scale: 0.25,
 			Sampling: &Sampling{
 				Mode: SampleStratified, IntervalRefs: 8192,
-				WarmupRefs: 1024, Period: 16, Seed: 5, Workers: workers,
+				WarmupRefs: 1024, Period: 16, Seed: 5,
 			},
 		}
 		r, err := Run(spec)
@@ -243,9 +247,9 @@ func TestSampledWorkerInvariance(t *testing.T) {
 	if r.Raw.Sampling == nil || r.Raw.Sampling.Rounds == 0 {
 		t.Fatal("test premise broken: no parallel rounds executed; lengthen the functional stretches")
 	}
-	for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
-		if b, _ := run(w); !bytes.Equal(ref, b) {
-			t.Errorf("Workers=%d result differs from Workers=1", w)
+	for _, procs := range []int{4, orig} {
+		if b, _ := run(procs); !bytes.Equal(ref, b) {
+			t.Errorf("GOMAXPROCS=%d result differs from GOMAXPROCS=1", procs)
 		}
 	}
 }

@@ -261,25 +261,44 @@ type BatchResult struct {
 // abort promptly; completed entries keep their results (partial results,
 // not a panic).
 func RunBatch(ctx context.Context, opt BatchOptions, specs []RunSpec) []BatchResult {
-	jobs := make([]runner.Job[Result], len(specs))
+	// Group specs by key up front: a singleflight only merges calls that
+	// overlap in time, and equal specs must simulate once. A spec that
+	// cannot be keyed runs alone.
+	var groups [][]int
+	byKey := make(map[string]int)
+	keys := make([]string, len(specs))
 	for i, spec := range specs {
-		key, _ := spec.Key() // "" on error: run without dedup
-		jobs[i] = runner.Job[Result]{
-			Key: key,
-			Run: func(ctx context.Context) (Result, error) { return RunContext(ctx, spec) },
+		keys[i], _ = spec.Key()
+		if g, ok := byKey[keys[i]]; ok {
+			groups[g] = append(groups[g], i)
+			continue
 		}
-	}
-	ropt := runner.Options[Result]{Workers: opt.Workers, Timeout: opt.Timeout}
-	if opt.OnDone != nil {
-		ropt.OnDone = func(d runner.Done[Result]) {
-			opt.OnDone(d.Index, specs[d.Index], d.Value, d.Err, d.Wall)
+		if keys[i] != "" {
+			byKey[keys[i]] = len(groups)
 		}
+		groups = append(groups, []int{i})
 	}
-	rs := runner.Map(ctx, ropt, jobs)
+
+	pool := runner.New[Result](ctx, runner.Options{Workers: opt.Workers, Timeout: opt.Timeout})
+	defer pool.Close(ctx)
 	out := make([]BatchResult, len(specs))
-	for i, r := range rs {
-		out[i] = BatchResult{Spec: specs[i], Result: r.Value, Err: r.Err}
-	}
+	runner.Each(len(groups), opt.Workers, func(g int) {
+		i := groups[g][0]
+		var res Result
+		err := ctx.Err()
+		if err == nil {
+			start := time.Now()
+			res, err = pool.Do(ctx, keys[i], func(ctx context.Context) (Result, error) {
+				return pool.Work(ctx, func(ctx context.Context) (Result, error) { return RunContext(ctx, specs[i]) })
+			})
+			if opt.OnDone != nil {
+				opt.OnDone(i, specs[i], res, err, time.Since(start))
+			}
+		}
+		for _, m := range groups[g] {
+			out[m] = BatchResult{Spec: specs[m], Result: res, Err: err}
+		}
+	})
 	return out
 }
 

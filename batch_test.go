@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,6 +40,36 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: batch result %d differs from sequential run", workers, i)
 			}
 		}
+	}
+}
+
+// TestRunBatchOnDone checks the progress callback reports each execution
+// once: equal specs share one call, on their first index, and a failing
+// spec reports its error.
+func TestRunBatchOnDone(t *testing.T) {
+	spec := netcache.RunSpec{App: "sor", System: netcache.SystemNetCache, Scale: 0.06}
+	bad := netcache.RunSpec{App: "no-such-app", System: netcache.SystemNetCache, Scale: 0.06}
+	var mu sync.Mutex
+	calls := map[int]error{}
+	got := netcache.RunBatch(context.Background(), netcache.BatchOptions{
+		Workers: 2,
+		OnDone: func(index int, _ netcache.RunSpec, _ netcache.Result, err error, _ time.Duration) {
+			mu.Lock()
+			defer mu.Unlock()
+			calls[index] = err
+		},
+	}, []netcache.RunSpec{spec, spec, bad})
+	if len(calls) != 2 {
+		t.Fatalf("OnDone called for indexes %v, want 0 and 2", calls)
+	}
+	if err, ok := calls[0]; !ok || err != nil {
+		t.Fatalf("OnDone for the shared spec: called %v, err %v", ok, err)
+	}
+	if err, ok := calls[2]; !ok || err == nil {
+		t.Fatalf("OnDone for the bad spec: called %v, err %v", ok, err)
+	}
+	if got[0].Err != nil || !reflect.DeepEqual(got[0].Result, got[1].Result) {
+		t.Fatal("equal specs did not share one result")
 	}
 }
 

@@ -83,10 +83,9 @@ func (r *Runner) spec(s Spec) netcache.RunSpec {
 
 // key is the memoization key: the RunSpec.Key content address that RunBatch,
 // netcached and the result store also use. It covers every Config field, the
-// scale and the sampling plan (minus Workers, which parameterizes the
-// execution strategy, not the experiment), so configs differing in any knob
-// never alias, and equivalent spellings share one run. Prime rejects the
-// specs it cannot key, so later lookups ignore the error.
+// scale and the sampling plan, so configs differing in any knob never alias,
+// and equivalent spellings share one run. Prime rejects the specs it cannot
+// key, so later lookups ignore the error.
 func (r *Runner) key(s Spec) string {
 	k, _ := r.spec(s).Key()
 	return k
@@ -100,10 +99,10 @@ func (r *Runner) cached(key string) (netcache.Result, bool) {
 }
 
 // Prime simulates every not-yet-cached spec through netcache.RunBatch and
-// memoizes the results. Identical specs are deduplicated (singleflight),
-// results are cached in deterministic spec order, and all failures are
-// returned joined, also in spec order. Successful runs stay cached even when
-// Prime returns an error, so callers keep partial results.
+// memoizes the results. Identical specs simulate once (RunBatch groups them
+// by key), results are cached in deterministic spec order, and all failures
+// are returned joined, also in spec order. Successful runs stay cached even
+// when Prime returns an error, so callers keep partial results.
 func (r *Runner) Prime(ctx context.Context, specs []Spec) error {
 	var todo []netcache.RunSpec
 	var keys []string

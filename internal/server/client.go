@@ -354,92 +354,6 @@ func (c *Client) batchOnce(ctx context.Context, specs []netcache.RunSpec) ([]Bat
 	return resp.Results, nil
 }
 
-// ChunkError is one RunMany chunk whose transport failed outright, with
-// the canonical spec keys it covered — enough for a caller to retry or
-// report exactly the affected specs.
-type ChunkError struct {
-	Start, End int      // spec index range [Start, End) within the RunMany call
-	Keys       []string // canonical spec keys of the failed chunk, in order
-	Err        error
-}
-
-func (e *ChunkError) Error() string {
-	return fmt.Sprintf("chunk [%d:%d) (%d specs): %v", e.Start, e.End, e.End-e.Start, e.Err)
-}
-
-func (e *ChunkError) Unwrap() error { return e.Err }
-
-// RunManyError aggregates the failed chunks of a RunMany call. The call's
-// entries are still fully populated — failed chunks' entries carry the
-// failure status — so callers can consume partial results and inspect or
-// retry only the failed spec keys.
-type RunManyError struct {
-	Chunks []ChunkError
-}
-
-func (e *RunManyError) Error() string {
-	failed := 0
-	for _, ce := range e.Chunks {
-		failed += ce.End - ce.Start
-	}
-	return fmt.Sprintf("netcached: %d chunks (%d specs) failed; first: %v",
-		len(e.Chunks), failed, e.Chunks[0].Err)
-}
-
-// RunMany streams specs through /v1/batch in bounded-size chunks (default
-// 256 per request when chunk <= 0) and returns one entry per spec, in
-// order. It lets sweeps of arbitrary size ride the batch endpoint without
-// building a single enormous request body; each chunk gets the client's
-// full retry treatment via Batch.
-//
-// A chunk whose transport fails outright no longer aborts the call: its
-// entries are filled with the failure (status and error message), the
-// remaining chunks still run, and the returned error is a *RunManyError
-// listing each failed chunk with its spec keys. The entry slice is always
-// complete — one entry per spec — even when err is non-nil.
-func (c *Client) RunMany(ctx context.Context, specs []netcache.RunSpec, chunk int) ([]BatchEntry, error) {
-	if chunk <= 0 {
-		chunk = 256
-	}
-	out := make([]BatchEntry, 0, len(specs))
-	var failed []ChunkError
-	for start := 0; start < len(specs); start += chunk {
-		end := start + chunk
-		if end > len(specs) {
-			end = len(specs)
-		}
-		entries, err := c.Batch(ctx, specs[start:end])
-		if err != nil {
-			if ctx.Err() != nil {
-				// The caller's context ended: nothing further will succeed,
-				// and partial entries would be misleading. Abort outright.
-				return nil, fmt.Errorf("netcached: chunk [%d:%d): %w", start, end, err)
-			}
-			code := http.StatusServiceUnavailable
-			var se *StatusError
-			if errors.As(err, &se) {
-				code = se.Code
-			}
-			ce := ChunkError{Start: start, End: end, Err: err}
-			for _, spec := range specs[start:end] {
-				key, kerr := spec.Key()
-				if kerr != nil {
-					key = "unkeyable:" + kerr.Error()
-				}
-				ce.Keys = append(ce.Keys, key)
-				out = append(out, BatchEntry{Status: code, Error: err.Error()})
-			}
-			failed = append(failed, ce)
-			continue
-		}
-		out = append(out, entries...)
-	}
-	if len(failed) > 0 {
-		return out, &RunManyError{Chunks: failed}
-	}
-	return out, nil
-}
-
 // Lookup performs a store-only fetch of key (GET /v1/result/{key}): a hit
 // returns the cached bytes, a 404 reports a clean miss, and anything else
 // is an error. It never triggers a simulation on the server — the

@@ -11,6 +11,7 @@ import (
 
 	"netcache"
 	"netcache/internal/cluster"
+	"netcache/internal/store"
 )
 
 // internodeHeader marks a request proxied from a peer. The receiving node
@@ -81,9 +82,9 @@ func (s *Server) peerClient(peer string) *Client {
 
 // proxy forwards a missed key to its replicas in ring order, owner first.
 // It returns (outcome, true) when some replica gave an authoritative answer
-// — success or a non-retryable contract error — and (zero, false) when
-// every replica is unreachable or shedding, in which case the caller falls
-// back to recomputing locally.
+// — success or a non-retryable contract error — and (zero, false) when ctx
+// ends or every replica is unreachable or shedding, in which case the
+// caller falls back to recomputing locally.
 func (s *Server) proxy(ctx context.Context, key string, spec netcache.RunSpec) (outcome, bool) {
 	cl := s.cfg.Cluster
 	for _, peer := range cl.Replicas(key) {
@@ -116,7 +117,7 @@ func (s *Server) proxy(ctx context.Context, key string, spec netcache.RunSpec) (
 			continue
 		}
 		if ctx.Err() != nil {
-			return outcome{code: http.StatusServiceUnavailable, errMsg: "request cancelled: " + ctx.Err().Error()}, true
+			return outcome{}, false
 		}
 		// Transport-level failure after the client's own retries: the peer
 		// is gone. Mark it down so subsequent requests skip straight to the
@@ -144,8 +145,8 @@ func (s *Server) upstreamFetch(ctx context.Context, key string) ([]byte, bool) {
 	return body, true
 }
 
-// storeFill persists bytes obtained from a peer or upstream, honoring
-// degraded-mode gating exactly like a post-simulation Put.
+// storeFill persists a result simulated here or obtained from a peer or
+// upstream, honoring degraded-mode gating.
 func (s *Server) storeFill(key string, body []byte) {
 	if s.cfg.Store == nil || !s.allowPut() {
 		return
@@ -159,21 +160,6 @@ func (s *Server) storeFill(key string, body []byte) {
 
 // --- cluster endpoints ------------------------------------------------------
 
-// validResultKey accepts hex SHA-256 strings, mirroring the store's own
-// key validation so /v1/result can reject junk before touching disk.
-func validResultKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // maxPushBytes caps a POST /v1/results body.
 const maxPushBytes = 64 << 20
 
@@ -185,7 +171,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := strings.TrimPrefix(r.URL.Path, "/v1/result/")
-	if !validResultKey(key) {
+	if !store.ValidKey(key) {
 		writeError(w, http.StatusBadRequest, "key must be 64 hex chars")
 		return
 	}

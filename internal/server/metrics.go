@@ -5,9 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
-	"netcache/internal/runner"
 	"netcache/internal/stats"
 )
 
@@ -16,13 +14,10 @@ import (
 // simulator's own log2-bucketed stats.Histogram, recorded in microseconds
 // and exposed with power-of-two le boundaries in seconds.
 type metrics struct {
-	inflight atomic.Int64 // simulations currently executing in this server
-
 	mu            sync.Mutex
 	requests      map[string]uint64 // "path|code" -> count
 	simulations   uint64            // simulations actually executed
 	storeServed   uint64            // requests answered from the store
-	coalesced     uint64            // requests that joined an in-flight leader
 	rejected      uint64            // requests refused by the admission queue
 	storePutFails uint64            // store writes that failed (degraded-mode trigger)
 	simDur        map[string]*stats.Histogram
@@ -137,7 +132,7 @@ func (m *metrics) render(b *strings.Builder, s *Server, degraded bool) {
 
 	counter("netcached_simulations_total", "Simulations executed (store misses after coalescing).", m.simulations)
 	counter("netcached_store_served_total", "Requests answered from the result store.", m.storeServed)
-	counter("netcached_coalesced_total", "Requests that joined an identical in-flight simulation.", m.coalesced)
+	counter("netcached_coalesced_total", "Requests that joined an identical in-flight simulation.", uint64(s.runs.Coalesced.Load()))
 	counter("netcached_admission_rejected_total", "Requests refused with 429 by the admission queue.", m.rejected)
 	counter("netcached_store_put_failures_total", "Store writes that failed; repeated failures trigger degraded mode.", m.storePutFails)
 	degradedVal := int64(0)
@@ -145,9 +140,8 @@ func (m *metrics) render(b *strings.Builder, s *Server, degraded bool) {
 		degradedVal = 1
 	}
 	gauge("netcached_degraded", "1 while in degraded (read-only) mode, else 0.", degradedVal)
-	gauge("netcached_inflight_simulations", "Simulations executing right now.", m.inflight.Load())
-	gauge("netcached_runner_inflight_jobs", "Job groups executing on the shared worker pool.", runner.InFlight())
-	gauge("netcached_runner_queued_jobs", "Job groups admitted to the worker pool but not yet started.", runner.Queued())
+	gauge("netcached_inflight_simulations", "Simulations executing right now.", s.runs.Running.Load())
+	gauge("netcached_queued_simulations", "Simulations admitted but waiting for a worker.", s.runs.Waiting.Load())
 
 	if st != nil {
 		ss := st.Stats()

@@ -11,6 +11,7 @@ import (
 
 	"netcache/internal/cluster"
 	"netcache/internal/loop"
+	"netcache/internal/store"
 )
 
 // Replica repair: the rebalance pass.
@@ -170,7 +171,7 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 	// Resume after the persisted cursor if it matches this epoch; a cursor
 	// from an older epoch priced keys against a ring that no longer routes.
 	first := 0
-	if ce, after, ok := st.RebalanceCursor(); ok && ce == epoch && validResultKey(after) {
+	if ce, after, ok := st.RebalanceCursor(); ok && ce == epoch && store.ValidKey(after) {
 		first = keyRange(after) + 1
 	}
 	work := planPass(st.Keys(), ring, cl.Replication(), self, first)

@@ -8,14 +8,15 @@
 //  1. store:       identical specs across process lifetimes are answered
 //     from disk (internal/store), byte-identically;
 //  2. coalescing:  concurrent identical specs singleflight into exactly one
-//     simulation, every waiter sharing the leader's outcome;
+//     simulation, every waiter sharing its outcome;
 //  3. admission:   genuinely novel specs pass a bounded admission queue
-//     (429 + Retry-After when saturated) and a worker
-//     semaphore before burning CPU.
+//     (429 + Retry-After when saturated) and wait for a worker
+//     before burning CPU.
 //
+// Coalescing, admission, timeouts and panic recovery are one runner.Pool.
 // Shutdown is graceful: new simulations are refused, in-flight ones drain
-// until the deadline, and past it the server's base context is cancelled,
-// which aborts the simulation engines through their Interrupt path.
+// until the deadline, and past it the pool's context is cancelled, which
+// aborts the simulation engines through their Interrupt path.
 //
 // With a cluster configured (internal/cluster), N servers form one logical
 // store: a non-owner first checks its local store, then proxies the miss to
@@ -83,7 +84,7 @@ type Config struct {
 
 	// Inject, when non-nil, arms deterministic chaos: HTTP-layer faults
 	// (faults.HTTPLatency / HTTPError / HTTPDisconnect) fire on /v1/*
-	// requests, and the batch worker pool fires its runner.* sites. The
+	// requests, and the runner pool fires its runner.* sites. The
 	// health and metrics endpoints are exempt so chaos runs stay
 	// observable.
 	Inject *faults.Injector
@@ -134,26 +135,19 @@ type Server struct {
 	m    *metrics
 	http http.Server
 
-	// base is the simulation lifetime context: simulations run under it
-	// (not under the triggering request) so a leader's client disconnect
-	// cannot kill work that coalesced followers or the store will reuse.
-	// Shutdown cancels it after the drain deadline, aborting the engines
-	// through the sim Interrupt path.
+	// runs executes every simulation under its own context, not the
+	// triggering request's, so a client disconnect cannot kill work that
+	// coalesced followers or the store will reuse. base bounds the
+	// background membership pulls; Shutdown cancels it.
+	runs  *runner.Pool[outcome]
 	base  context.Context
 	abort context.CancelFunc
-
-	sem   chan struct{} // worker tokens
-	queue chan struct{} // admission slots (workers + queue depth)
-
-	mu      sync.Mutex
-	calls   map[string]*call
-	closing bool
-	sims    sync.WaitGroup
 
 	// Degraded (read-only) mode state, under mu: putFails counts
 	// consecutive store Put failures; degraded flips once it reaches
 	// DegradedAfter, after which at most one probe Put per DegradedProbe
 	// interval is attempted until one succeeds.
+	mu        sync.Mutex
 	putFails  int
 	degraded  bool
 	lastProbe time.Time
@@ -167,12 +161,6 @@ type Server struct {
 	passMu      sync.Mutex      // one rebalance pass at a time
 	rebalMu     sync.Mutex
 	rebal       RebalanceStatus
-}
-
-// call is one in-flight keyed computation; followers wait on done.
-type call struct {
-	done chan struct{}
-	out  outcome
 }
 
 // outcome is a finished request: either body (HTTP 200) or errMsg+code.
@@ -206,11 +194,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		m:     newMetrics(),
+		runs:  runner.New[outcome](base, runner.Options{Workers: cfg.Workers, QueueDepth: cfg.QueueDepth, Timeout: cfg.Timeout, Inject: cfg.Inject}),
 		base:  base,
 		abort: abort,
-		sem:   make(chan struct{}, cfg.Workers),
-		queue: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
-		calls: make(map[string]*call),
 	}
 	mux := http.NewServeMux()
 	s.route(mux, "/v1/run", s.chaos(s.handleRun))
@@ -309,33 +295,18 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Shutdown drains the server: the probe and rebalance loops stop at once,
-// cancelling a pass in flight, new simulations are refused immediately,
+// cancelling a pass in flight, then the pool closes: no simulation starts,
 // in-flight ones run to completion until ctx's deadline, and past it the
 // engines are aborted through the Interrupt path. It returns once every
 // simulation has joined and the listeners are closed.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.closing = true
-	s.mu.Unlock()
-
 	// Stop the cluster loops first: no background traffic while draining.
 	// An interrupted rebalance pass resumes from its cursor at next boot.
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.Close()
 	}
 	s.rebalancer.Stop()
-
-	drained := make(chan struct{})
-	go func() {
-		s.sims.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained: // clean drain
-	case <-ctx.Done():
-		s.abort() // deadline passed: interrupt the engines
-		<-drained // engines abort in bounded time; join them
-	}
+	s.runs.Close(ctx)
 	s.abort()
 
 	// Simulations are done; handlers only have bytes left to write.
@@ -369,7 +340,7 @@ func (s *Server) writeOutcome(w http.ResponseWriter, out outcome) {
 }
 
 // retryAfterSeconds estimates when a queue slot frees up: the observed mean
-// simulation latency times the queue occupancy per worker.
+// simulation latency times the admitted simulations per worker.
 func (s *Server) retryAfterSeconds() int {
 	s.m.mu.Lock()
 	var n, sum uint64
@@ -382,7 +353,7 @@ func (s *Server) retryAfterSeconds() int {
 	if n > 0 {
 		meanSec = float64(sum) / float64(n) / 1e6
 	}
-	waiting := float64(len(s.queue)) / float64(cap(s.sem))
+	waiting := float64(s.runs.Running.Load()+s.runs.Waiting.Load()) / float64(s.cfg.Workers)
 	sec := int(meanSec * (waiting + 1))
 	if sec < 1 {
 		sec = 1
@@ -436,30 +407,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	// Fan the members out on the same worker-pool machinery RunBatch uses;
-	// each takes the full store -> coalesce -> admit path, so identical
-	// members (and identical concurrent /v1/run requests) simulate once.
+	// Each member takes the full store -> coalesce -> admit path, at most
+	// Workers at once so a batch cannot overrun the admission queue alone;
+	// identical members (and concurrent /v1/run requests) simulate once.
 	internode := isInternode(r)
-	jobs := make([]runner.Job[outcome], len(req.Specs))
-	for i, spec := range req.Specs {
-		jobs[i] = runner.Job[outcome]{Run: func(ctx context.Context) (outcome, error) {
-			return s.execute(ctx, spec, internode), nil
-		}}
-	}
-	outs := runner.Map(r.Context(), runner.Options[outcome]{Workers: s.cfg.Workers, Inject: s.cfg.Inject}, jobs)
-	resp := BatchResponse{Results: make([]BatchEntry, len(outs))}
-	for i, o := range outs {
-		e := BatchEntry{Status: o.Value.code}
-		if o.Err != nil { // runner-level failure (cancelled before start)
-			e.Status = http.StatusServiceUnavailable
-			e.Error = o.Err.Error()
-		} else if o.Value.code == http.StatusOK {
-			e.Result = json.RawMessage(o.Value.body)
+	resp := BatchResponse{Results: make([]BatchEntry, len(req.Specs))}
+	runner.Each(len(req.Specs), s.cfg.Workers, func(i int) {
+		o := s.execute(r.Context(), req.Specs[i], internode)
+		e := BatchEntry{Status: o.code}
+		if o.code == http.StatusOK {
+			e.Result = json.RawMessage(o.body)
 		} else {
-			e.Error = o.Value.errMsg
+			e.Error = o.errMsg
 		}
 		resp.Results[i] = e
-	}
+	})
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
@@ -509,14 +471,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // "degraded" (serving, but the store is rejecting writes — results are
 // recomputed, not persisted), or 503 while draining.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	closing, degraded := s.closing, s.degraded
-	s.mu.Unlock()
-	if closing {
+	if s.runs.Closed() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	if degraded {
+	if s.Degraded() {
 		w.Write([]byte("degraded\n"))
 		return
 	}
@@ -587,12 +546,12 @@ func (s *Server) putSucceeded() {
 
 // --- the keyed execution path ----------------------------------------------
 
-// execute serves one spec through store, coalescing, cluster routing, and
-// admission. ctx is the *waiter's* context: it bounds how long this request
-// waits, while the simulation itself runs under the server's base context.
-// internode marks requests proxied from a peer: they are served
-// authoritatively, never re-proxied, so disagreeing ring views can cost an
-// extra hop but never a loop.
+// execute serves one spec through the pool's singleflight: one call per key
+// runs lead, and concurrent identical requests share its outcome. ctx is
+// the *waiter's* context: it bounds how long this request waits, while the
+// simulation itself runs under the pool's context. internode marks requests
+// proxied from a peer: they are served authoritatively, never re-proxied,
+// so disagreeing ring views can cost an extra hop but never a loop.
 func (s *Server) execute(ctx context.Context, spec netcache.RunSpec, internode bool) outcome {
 	if err := spec.Validate(); err != nil {
 		return outcome{code: http.StatusBadRequest, errMsg: err.Error()}
@@ -601,38 +560,35 @@ func (s *Server) execute(ctx context.Context, spec netcache.RunSpec, internode b
 	if err != nil {
 		return outcome{code: http.StatusInternalServerError, errMsg: "keying spec: " + err.Error()}
 	}
-
-	s.mu.Lock()
-	if c, ok := s.calls[key]; ok {
-		s.mu.Unlock()
-		s.m.add(&s.m.coalesced)
-		select {
-		case <-c.done:
-			return c.out
-		case <-ctx.Done():
-			return outcome{code: http.StatusServiceUnavailable, errMsg: "request cancelled: " + ctx.Err().Error()}
-		}
+	out, err := s.runs.Do(ctx, key, func(ctx context.Context) (outcome, error) {
+		return s.lead(ctx, key, spec, internode)
+	})
+	switch {
+	case err == nil:
+		return out
+	case errors.Is(err, runner.ErrBusy):
+		s.m.add(&s.m.rejected)
+		return outcome{code: http.StatusTooManyRequests, errMsg: "admission queue full"}
+	case errors.Is(err, runner.ErrClosed):
+		return outcome{code: http.StatusServiceUnavailable, errMsg: "server shutting down"}
+	case ctx.Err() != nil:
+		return outcome{code: http.StatusServiceUnavailable, errMsg: "request cancelled: " + ctx.Err().Error()}
+	default: // a panic, recovered by the pool: retryable, and never cached
+		s.cfg.Log.Printf("run %s/%s: %v", spec.App, spec.System, err)
+		return outcome{code: http.StatusInternalServerError, errMsg: err.Error()}
 	}
-	c := &call{done: make(chan struct{})}
-	s.calls[key] = c
-	s.mu.Unlock()
-
-	c.out = s.lead(ctx, key, spec, internode)
-	s.mu.Lock()
-	delete(s.calls, key)
-	s.mu.Unlock()
-	close(c.done)
-	return c.out
 }
 
-// lead is the singleflight leader: store lookup, then cluster routing
-// (proxy the miss to the owner, or fall back to local recomputation), then
-// the upstream tier, then admission and the simulation itself.
-func (s *Server) lead(ctx context.Context, key string, spec netcache.RunSpec, internode bool) outcome {
+// lead serves a key no other request is serving: store lookup, then cluster
+// routing (proxy the miss to the owner, or fall back to local
+// recomputation), then the upstream tier, then the simulation on a pool
+// worker. Its error is the pool's refusal, or ctx's if ctx ends first, in
+// which case a waiter whose own request is still live runs lead instead.
+func (s *Server) lead(ctx context.Context, key string, spec netcache.RunSpec, internode bool) (outcome, error) {
 	if s.cfg.Store != nil {
 		if body, ok := s.cfg.Store.Get(key); ok {
 			s.m.add(&s.m.storeServed)
-			return outcome{code: http.StatusOK, body: body}
+			return outcome{code: http.StatusOK, body: body}, nil
 		}
 	}
 
@@ -640,7 +596,10 @@ func (s *Server) lead(ctx context.Context, key string, spec netcache.RunSpec, in
 	owned := cl == nil || cl.IsReplica(key)
 	if !owned && !internode {
 		if out, ok := s.proxy(ctx, key, spec); ok {
-			return out
+			return out, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return outcome{}, err
 		}
 		// Every replica is unreachable. Results are deterministic
 		// recomputations, so a down owner costs latency, not correctness:
@@ -652,84 +611,33 @@ func (s *Server) lead(ctx context.Context, key string, spec netcache.RunSpec, in
 	if s.cfg.Upstream != nil {
 		if body, ok := s.upstreamFetch(ctx, key); ok {
 			s.storeFill(key, body)
-			return outcome{code: http.StatusOK, body: body}
+			return outcome{code: http.StatusOK, body: body}, nil
 		}
 	}
 
-	// Admission: a bounded queue in front of the worker semaphore.
-	select {
-	case s.queue <- struct{}{}:
-	default:
-		s.m.add(&s.m.rejected)
-		return outcome{code: http.StatusTooManyRequests, errMsg: "admission queue full"}
-	}
-	defer func() { <-s.queue }()
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return outcome{code: http.StatusServiceUnavailable, errMsg: "request cancelled: " + ctx.Err().Error()}
-	case <-s.base.Done():
-		return outcome{code: http.StatusServiceUnavailable, errMsg: "server shutting down"}
-	}
-	defer func() { <-s.sem }()
-
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return outcome{code: http.StatusServiceUnavailable, errMsg: "server shutting down"}
-	}
-	s.sims.Add(1)
-	s.mu.Unlock()
-	defer s.sims.Done()
-
-	runCtx := s.base
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(runCtx, s.cfg.Timeout)
-		defer cancel()
-	}
-	s.m.inflight.Add(1)
-	start := time.Now()
-	res, err := s.runSim(runCtx, spec)
-	s.m.inflight.Add(-1)
-	s.m.simDone(spec.App, time.Since(start).Microseconds())
-	if err != nil {
-		s.cfg.Log.Printf("run %s/%s: %v", spec.App, spec.System, err)
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			return outcome{code: http.StatusGatewayTimeout, errMsg: err.Error()}
-		case errors.Is(err, context.Canceled):
-			return outcome{code: http.StatusServiceUnavailable, errMsg: "aborted: " + err.Error()}
-		default:
-			return outcome{code: http.StatusInternalServerError, errMsg: err.Error()}
-		}
-	}
-	body, err := json.Marshal(res)
-	if err != nil {
-		return outcome{code: http.StatusInternalServerError, errMsg: "encoding result: " + err.Error()}
-	}
-	if s.cfg.Store != nil {
-		if s.allowPut() {
-			if err := s.cfg.Store.Put(key, body); err != nil {
-				s.putFailed(key, err)
-			} else {
-				s.putSucceeded()
+	out, err := s.runs.Work(ctx, func(ctx context.Context) (outcome, error) {
+		start := time.Now()
+		res, err := s.cfg.RunFunc(ctx, spec)
+		s.m.simDone(spec.App, time.Since(start).Microseconds())
+		if err != nil {
+			s.cfg.Log.Printf("run %s/%s: %v", spec.App, spec.System, err)
+			switch {
+			case errors.Is(err, context.DeadlineExceeded):
+				return outcome{code: http.StatusGatewayTimeout, errMsg: err.Error()}, nil
+			case errors.Is(err, context.Canceled):
+				return outcome{code: http.StatusServiceUnavailable, errMsg: "aborted: " + err.Error()}, nil
+			default:
+				return outcome{code: http.StatusInternalServerError, errMsg: err.Error()}, nil
 			}
 		}
-	}
-	return outcome{code: http.StatusOK, body: body}
-}
-
-// runSim invokes the simulation with panics contained: a panicking RunFunc
-// (a simulator bug, or injected chaos) becomes a retryable 500 for one
-// request instead of a torn-down connection — and, because the simulation
-// runs once per key, a deterministic panic cannot wedge the server in a
-// crash loop.
-func (s *Server) runSim(ctx context.Context, spec netcache.RunSpec) (res netcache.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("simulation panicked: %v", r)
+		body, err := json.Marshal(res)
+		if err != nil {
+			return outcome{code: http.StatusInternalServerError, errMsg: "encoding result: " + err.Error()}, nil
 		}
-	}()
-	return s.cfg.RunFunc(ctx, spec)
+		return outcome{code: http.StatusOK, body: body}, nil
+	})
+	if err == nil && out.code == http.StatusOK {
+		s.storeFill(key, out.body)
+	}
+	return out, err
 }

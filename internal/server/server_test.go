@@ -209,9 +209,7 @@ func TestConcurrentCoalescing(t *testing.T) {
 	// Wait until one leader is simulating and the other n-1 requests have
 	// joined it, then let the simulation finish.
 	waitFor(t, "followers to coalesce", func() bool {
-		srv.m.mu.Lock()
-		defer srv.m.mu.Unlock()
-		return starts.Load() == 1 && srv.m.coalesced == n-1
+		return starts.Load() == 1 && srv.runs.Coalesced.Load() == n-1
 	})
 	close(release)
 	wg.Wait()
@@ -226,6 +224,79 @@ func TestConcurrentCoalescing(t *testing.T) {
 	}
 	if s := starts.Load(); s != 1 {
 		t.Fatalf("%d simulations for %d identical requests", s, n)
+	}
+}
+
+// TestFollowerOutlivesLeader: a request that coalesced onto another does
+// not inherit that leader's cancellation. With the only worker busy on spec
+// X, a leader for spec Y queues and a follower joins it; the leader's client
+// then gives up. Once X finishes, the follower still gets Y's result.
+func TestFollowerOutlivesLeader(t *testing.T) {
+	release := make(chan struct{})
+	var sims atomic.Int32
+	srv, c := start(t, Config{Workers: 1, QueueDepth: 4, RunFunc: func(ctx context.Context, spec netcache.RunSpec) (netcache.Result, error) {
+		sims.Add(1)
+		if spec.Scale == 0.1 { // X holds the worker until released
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return netcache.Result{}, ctx.Err()
+			}
+		}
+		return netcache.Result{App: spec.App, Cycles: int64(spec.Scale * 1000)}, nil
+	}})
+	ctx := context.Background()
+	x := netcache.RunSpec{App: "sor", System: netcache.SystemNetCache, Scale: 0.1}
+	y := netcache.RunSpec{App: "sor", System: netcache.SystemNetCache, Scale: 0.2}
+
+	xDone := make(chan error, 1)
+	go func() {
+		_, err := c.RunRaw(ctx, x)
+		xDone <- err
+	}()
+	waitFor(t, "X to hold the worker", func() bool { return srv.runs.Running.Load() == 1 })
+
+	leaderCtx, cancelLeader := context.WithCancel(ctx)
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := c.RunRaw(leaderCtx, y)
+		leaderDone <- err
+	}()
+	waitFor(t, "Y's leader to queue", func() bool { return srv.runs.Waiting.Load() == 1 })
+
+	type reply struct {
+		res netcache.Result
+		err error
+	}
+	follower := make(chan reply, 1)
+	go func() {
+		res, err := c.Run(ctx, y)
+		follower <- reply{res, err}
+	}()
+	waitFor(t, "the follower to coalesce", func() bool { return srv.runs.Coalesced.Load() == 1 })
+
+	cancelLeader()
+	if err := <-leaderDone; err == nil {
+		t.Fatal("cancelled leader request succeeded")
+	}
+	waitFor(t, "the leader's handler to give up", func() bool {
+		srv.m.mu.Lock()
+		defer srv.m.mu.Unlock()
+		return srv.m.requests["/v1/run|503"] >= 1
+	})
+	close(release)
+	if err := <-xDone; err != nil {
+		t.Fatalf("X: %v", err)
+	}
+	got := <-follower
+	if got.err != nil {
+		t.Fatalf("follower inherited the leader's cancellation: %v", got.err)
+	}
+	if got.res.Cycles != 200 {
+		t.Fatalf("follower result cycles = %d, want 200", got.res.Cycles)
+	}
+	if n := sims.Load(); n != 2 {
+		t.Fatalf("%d simulations, want 2 (X and Y once)", n)
 	}
 }
 
@@ -256,7 +327,7 @@ func TestAdmissionQueue(t *testing.T) {
 		}(i)
 	}
 	// First spec occupies the worker, second fills the queue.
-	waitFor(t, "queue to fill", func() bool { return len(srv.queue) == 2 })
+	waitFor(t, "queue to fill", func() bool { return srv.runs.Running.Load()+srv.runs.Waiting.Load() == 2 })
 
 	_, err := c.RunRaw(ctx, specN(2))
 	var se *StatusError
@@ -361,7 +432,7 @@ func TestGracefulShutdownAborts(t *testing.T) {
 		_, err := c.RunRaw(context.Background(), netcache.RunSpec{App: "sor", System: netcache.SystemNetCache, Scale: 1.0})
 		reqDone <- err
 	}()
-	waitFor(t, "simulation to start", func() bool { return srv.m.inflight.Load() == 1 })
+	waitFor(t, "simulation to start", func() bool { return srv.runs.Running.Load() == 1 })
 
 	const drain = 300 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
@@ -409,7 +480,7 @@ func TestShutdownDrainsCleanly(t *testing.T) {
 		_, err := c.RunRaw(context.Background(), netcache.RunSpec{App: "sor", System: netcache.SystemNetCache})
 		reqDone <- err
 	}()
-	waitFor(t, "simulation to start", func() bool { return srv.m.inflight.Load() == 1 })
+	waitFor(t, "simulation to start", func() bool { return srv.runs.Running.Load() == 1 })
 
 	shutDone := make(chan error, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -417,9 +488,7 @@ func TestShutdownDrainsCleanly(t *testing.T) {
 	go func() { shutDone <- srv.Shutdown(ctx) }()
 	// New work is refused while draining.
 	waitFor(t, "draining state", func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return srv.closing
+		return srv.runs.Closed()
 	})
 	close(release)
 	if err := <-shutDone; err != nil {

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"netcache/internal/store"
 )
 
 // Batched replica transfer.
@@ -181,7 +183,7 @@ func (s *Server) handleMissing(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, key := range req.Keys {
-		if !validResultKey(key) {
+		if !store.ValidKey(key) {
 			writeError(w, http.StatusBadRequest, "key must be 64 hex chars")
 			return
 		}
@@ -223,7 +225,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	for i, f := range frames {
 		out := &resp.Results[i]
 		switch {
-		case !validResultKey(f.Key):
+		case !store.ValidKey(f.Key):
 			*out = PushOutcome{Status: http.StatusBadRequest, Error: "key must be 64 hex chars"}
 		case !json.Valid(f.Value):
 			*out = PushOutcome{Status: http.StatusBadRequest, Error: "value is not JSON"}

@@ -70,7 +70,7 @@ func BenchmarkStoreHotPut(b *testing.B) {
 
 // BenchmarkStoreColdGet measures a cold-tier read: random access into a
 // segment file, index/header cross-check, CRC, and DEFLATE decompression —
-// through the Backend seam so the read does not promote and stays cold.
+// through the cold tier directly so the read does not promote and stays cold.
 func BenchmarkStoreColdGet(b *testing.B) {
 	s, err := OpenOptions(b.TempDir(), Options{ColdAge: time.Nanosecond})
 	if err != nil {
@@ -87,7 +87,7 @@ func BenchmarkStoreColdGet(b *testing.B) {
 	if migrated, _ := s.Compact(); migrated != len(keys) {
 		b.Fatalf("setup migrated %d of %d", migrated, len(keys))
 	}
-	cold := s.Cold()
+	cold := s.cold
 	b.SetBytes(int64(len(val)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -37,8 +37,8 @@ type coldRef struct {
 // coldTier packs evicted hot entries into append-only, compressed,
 // checksummed segment files under <dir>/cold, keyed by an in-memory index
 // (key → segment, offset, length) rebuilt on open from segment footers —
-// or, when a footer fails validation, salvaged by a forward scan. It
-// implements Backend; PutBatch writes one segment per call.
+// or, when a footer fails validation, salvaged by a forward scan.
+// PutBatch writes one segment per call.
 type coldTier struct {
 	dir      string // <store>/cold
 	fsys     FS
@@ -208,10 +208,10 @@ func (c *coldTier) lookup(key string) (coldRef, bool) {
 	return ref, ok
 }
 
-// Get implements Backend: random-access read of the key's record, verified
-// against the index entry and its CRC. A corrupt record is dead-marked so
-// the engine's recompute lands cleanly; an I/O failure leaves the record in
-// place (the next read may succeed).
+// Get is a random-access read of the key's record, verified against the
+// index entry and its CRC. A corrupt record is dead-marked so the engine's
+// recompute lands cleanly; an I/O failure leaves the record in place (the
+// next read may succeed).
 func (c *coldTier) Get(key string) ([]byte, error) {
 	ref, ok := c.lookup(key)
 	if !ok {
@@ -236,11 +236,11 @@ func (c *coldTier) Get(key string) ([]byte, error) {
 	return payload, nil
 }
 
-// PutBatch implements Backend: pack entries (plus any pending tombstones)
-// into one new segment, stage it in a temp file, rename it into place, and
-// verify the installed footer before indexing it. A batch that fails to
-// write or verify installs nothing — the caller's source copies are still
-// live, so a failed compaction loses no data.
+// PutBatch packs entries (plus any pending tombstones) into one new
+// segment, stages it in a temp file, renames it into place, and verifies
+// the installed footer before indexing it. A batch that fails to write or
+// verify installs nothing — the caller's source copies are still live, so
+// a failed compaction loses no data.
 func (c *coldTier) PutBatch(entries []segEntry) error {
 	if len(entries) == 0 {
 		return nil
@@ -307,8 +307,8 @@ func (c *coldTier) PutBatch(entries []segEntry) error {
 	return nil
 }
 
-// Delete implements Backend: dead-mark the key's record and queue a durable
-// tombstone for the next segment write.
+// Delete dead-marks the key's record and queues a durable tombstone for
+// the next segment write.
 func (c *coldTier) Delete(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -324,13 +324,13 @@ func (c *coldTier) Delete(key string) bool {
 	return true
 }
 
-// Contains implements Backend.
+// Contains reports whether key has a live record.
 func (c *coldTier) Contains(key string) bool {
 	_, ok := c.lookup(key)
 	return ok
 }
 
-// Stats implements Backend.
+// Stats snapshots the tier's occupancy.
 func (c *coldTier) Stats() TierStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -55,10 +55,10 @@ func TestCompactMigratesAndServesBothTiers(t *testing.T) {
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("cold Get(%s) = %v, %v", key, ok, got)
 		}
-		if !s.Hot().Contains(key) {
+		if !s.hot.Contains(key) {
 			t.Fatalf("cold hit did not promote %s", key)
 		}
-		if s.Cold().Contains(key) {
+		if s.cold.Contains(key) {
 			t.Fatalf("promotion left a live cold record for %s", key)
 		}
 	}
@@ -236,8 +236,8 @@ func TestCrashBetweenInstallAndHotDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Hot().Contains(key) || s2.Cold().Contains(key) {
-		t.Fatalf("dup key not collapsed to hot: hot=%v cold=%v", s2.Hot().Contains(key), s2.Cold().Contains(key))
+	if !s2.hot.Contains(key) || s2.cold.Contains(key) {
+		t.Fatalf("dup key not collapsed to hot: hot=%v cold=%v", s2.hot.Contains(key), s2.cold.Contains(key))
 	}
 	if got, ok := s2.Get(key); !ok || !bytes.Equal(got, val) {
 		t.Fatal("collapsed key unreadable")
@@ -362,7 +362,7 @@ func TestSegmentRewriteReclaimsDeadSpace(t *testing.T) {
 	// Kill 8 of 10 via the tier seam (the engine path that dead-marks:
 	// promotion, re-Put). Dead space piles up in place.
 	for _, k := range keys[:8] {
-		if !s.Cold().Delete(k) {
+		if !s.cold.Delete(k) {
 			t.Fatalf("delete %s failed", k)
 		}
 	}
@@ -498,7 +498,7 @@ func TestBackgroundCompactorRuns(t *testing.T) {
 	s.StartCompactor(5 * time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.Cold().Contains(key) {
+		if s.cold.Contains(key) {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -102,9 +102,6 @@ func (h *hotTier) get(key string, touch bool) ([]byte, error) {
 	return payload, nil
 }
 
-// Get implements Backend.
-func (h *hotTier) Get(key string) ([]byte, error) { return h.get(key, true) }
-
 // put stores value under key atomically: staged in a temp file and renamed
 // into place, so readers (and crashes) observe either nothing or the
 // complete checksummed entry.
@@ -142,21 +139,7 @@ func (h *hotTier) put(key string, value []byte) error {
 	return nil
 }
 
-// PutBatch implements Backend: per-key files, one put per entry.
-func (h *hotTier) PutBatch(entries []segEntry) error {
-	for _, e := range entries {
-		if e.tomb {
-			h.Delete(e.key)
-			continue
-		}
-		if err := h.put(e.key, e.value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Delete implements Backend, reporting whether an entry was removed.
+// Delete removes key's entry, reporting whether one was removed.
 func (h *hotTier) Delete(key string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -181,13 +164,13 @@ func (h *hotTier) dropLocked(key string) bool {
 	return true
 }
 
-// Contains implements Backend.
+// Contains reports whether key has an entry file.
 func (h *hotTier) Contains(key string) bool {
 	_, err := h.fsys.Stat(h.path(key))
 	return err == nil
 }
 
-// Stats implements Backend.
+// Stats snapshots the tier's occupancy.
 func (h *hotTier) Stats() TierStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -213,7 +196,7 @@ func (h *hotTier) scanLRU() []hotEntry {
 			continue
 		}
 		key := strings.TrimSuffix(e.Name(), suffix)
-		if !validKey(key) {
+		if !ValidKey(key) {
 			continue
 		}
 		info, err := e.Info()

@@ -48,7 +48,7 @@ func (s *Store) Keys() []string {
 	ents, _ := os.ReadDir(s.dir)
 	out := make([]string, 0, len(ents))
 	for _, e := range ents {
-		if key, ok := strings.CutSuffix(e.Name(), suffix); ok && !e.IsDir() && validKey(key) {
+		if key, ok := strings.CutSuffix(e.Name(), suffix); ok && !e.IsDir() && ValidKey(key) {
 			out = append(out, key)
 		}
 	}

@@ -5,7 +5,7 @@
 // Because every simulation is bit-deterministic, the store never needs
 // invalidation — a key's value can only ever be one byte string. The store
 // therefore optimizes for crash-safety and bounded size instead, as a
-// two-tier engine behind the Backend seam:
+// two-tier engine:
 //
 //   - The hot tier keeps the original one-file-per-key layout for recent
 //     and active results: entries are written to a temp file and atomically
@@ -222,12 +222,10 @@ func (s *Store) Close() error {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Hot and Cold expose the tiers as Backends, for tests and tooling.
-func (s *Store) Hot() Backend  { return s.hot }
-func (s *Store) Cold() Backend { return s.cold }
-
-// validKey accepts hex SHA-256 strings only, so keys can never escape dir.
-func validKey(key string) bool {
+// ValidKey reports whether key is a store key: a lowercase hex SHA-256
+// string, so keys can never escape dir. Servers check keys from the wire
+// with it before touching disk.
+func ValidKey(key string) bool {
 	if len(key) != 2*sha256.Size {
 		return false
 	}
@@ -257,7 +255,7 @@ func (s *Store) Peek(key string) ([]byte, bool) { return s.read(key, false) }
 
 // read is Get (serve set) and Peek (serve clear).
 func (s *Store) read(key string, serve bool) ([]byte, bool) {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		s.miss(false)
 		return nil, false
 	}
@@ -310,7 +308,7 @@ func (s *Store) miss(corrupt bool) {
 // Put stores value under key in the hot tier. Oversized stores evict per
 // the cross-tier LRU budget.
 func (s *Store) Put(key string, value []byte) error {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
 	if err := s.hot.put(key, value); err != nil {

@@ -7,10 +7,12 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"netcache/internal/cluster"
 	"netcache/internal/loop"
+	"netcache/internal/runner"
 	"netcache/internal/store"
 )
 
@@ -38,12 +40,13 @@ import (
 //
 // One loop runs the pass. A membership adoption, a peer coming back up
 // and the -rebalance-interval timer wake it; the timer doubles as the
-// retry schedule. Pushes are paced by -rebalance-rate. Progress persists
-// as the store's cursor, which advances past whole ranges and only while
-// the pass has left nothing undone, so a crash, or a shutdown that cancels
-// the pass, resumes at or before the first failure. A pass stops as soon
-// as a newer epoch is adopted; the adoption's wake restarts it against the
-// new ring.
+// retry schedule. The pass works on rangesInFlight ranges at once, and
+// one pacing schedule holds all its pushes to -rebalance-rate. Progress
+// persists as the store's cursor, which covers only the longest prefix of
+// whole ranges, in range order, finished while the pass has left nothing
+// undone, so a crash, or a shutdown that cancels the pass, resumes at or
+// before the first failure. A pass stops as soon as a newer epoch is
+// adopted; the adoption's wake restarts it against the new ring.
 //
 // Decommission needs nothing extra: a node that has left the membership
 // replicates nothing, so the same pass drains its entire store to the new
@@ -52,6 +55,15 @@ import (
 
 // keyRanges buckets keys by their first hex nibble.
 const keyRanges = 16
+
+// rangesInFlight is how many key ranges a pass works on at once, so the
+// sender reads one range while the receiver stores another. Two, because
+// http.DefaultClient's transport keeps two idle connections per host, so
+// both pushes reuse kept-alive connections, and because it bounds a
+// serving node's background repair at two pushes per sender. On a 2-vCPU
+// host four moved only 9% more keys per second, for more receiver load
+// and memory.
+const rangesInFlight = 2
 
 // RangeDigest summarizes a set of keys in one range: its size and the XOR
 // of each key's first 64 bits. SHA-256 keys are uniformly distributed, so
@@ -154,10 +166,11 @@ func planPass(keys []string, ring *cluster.Ring, rf int, self string, first int)
 }
 
 // RebalancePass makes every local key present on every replica that
-// should hold it under the current ring, range by range and peer by peer,
-// through transfer. It returns how many keys it pushed and how many the
-// replicas already had. Passes run one at a time; the loop runs one on
-// every wake, and tests and operators may force one.
+// should hold it under the current ring, rangesInFlight key ranges at a
+// time and peer by peer within a range, through transfer. It returns how
+// many keys it pushed and how many the replicas already had. Passes run
+// one at a time; the loop runs one on every wake, and tests and operators
+// may force one.
 func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 	st, cl := s.cfg.Store, s.cfg.Cluster
 	if st == nil || cl == nil {
@@ -216,11 +229,30 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 		perKeyDelay = time.Second / time.Duration(s.cfg.RebalanceRate)
 	}
 	current := func() bool { return ctx.Err() == nil && cl.Epoch() == epoch }
-	// afterPush holds -rebalance-rate on average — each push sleeps its key
-	// count over the rate — and stops the walk on shutdown or a newer ring.
-	afterPush := func(sent int) bool {
+
+	// mu guards the pass's totals, the cursor's range bookkeeping and the
+	// pacing schedule shared by the ranges in flight.
+	var (
+		mu     sync.Mutex
+		owed   int
+		done   [keyRanges]bool // range walked to the end
+		sent   [keyRanges]bool // range offered a live peer something
+		next   = first         // first range not yet behind the cursor
+		paceAt time.Time       // end of the last push's pacing reservation
+	)
+	// afterPush holds -rebalance-rate on average across every push of the
+	// pass: each push reserves its key count over the rate on one schedule,
+	// starting where the last reservation ended, and sleeps until its
+	// reservation ends. It stops the walk on shutdown or a newer ring.
+	afterPush := func(n int) bool {
 		if perKeyDelay > 0 {
-			t := time.NewTimer(time.Duration(sent) * perKeyDelay)
+			mu.Lock()
+			if now := time.Now(); paceAt.Before(now) {
+				paceAt = now
+			}
+			paceAt = paceAt.Add(time.Duration(n) * perKeyDelay)
+			t := time.NewTimer(time.Until(paceAt))
+			mu.Unlock()
 			select {
 			case <-t.C:
 			case <-ctx.Done():
@@ -230,9 +262,13 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 		return current()
 	}
 
-	owed := 0
-	for r := first; r < keyRanges; r++ {
-		sent := false
+	runner.Each(keyRanges-first, rangesInFlight, func(i int) {
+		r := first + i
+		if !current() {
+			return
+		}
+		var rMoved, rSkipped, rOwed int
+		rSent, cut := false, false
 		for _, peer := range peers {
 			w := &work[peer][r]
 			keys := w.always
@@ -245,19 +281,23 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 			if !cl.Up(peer) {
 				// A down replica: pushing would only burn the retry budget.
 				// Its recovery wakes the loop.
-				owed += len(keys)
+				rOwed += len(keys)
 				continue
 			}
-			sent = true
+			rSent = true
 			failed := 0
 			for _, o := range s.transfer(ctx, peer, keys, afterPush) {
 				switch o {
 				case transferStored:
-					moved++
+					rMoved++
 					s.m.add(&s.m.rebalanceMoved)
 				case transferPresent:
-					skipped++
+					rSkipped++
 					s.m.add(&s.m.rebalanceSkipped)
+				case transferUnsent:
+					// Never attempted: the transfer was cut, or ended when the
+					// peer went down. Owed, like the keys of a down replica.
+					rOwed++
 				default:
 					// A failed push, or a key evicted or unreadable mid-walk:
 					// a draining node must not report Done while a key it
@@ -266,18 +306,32 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 					failed++
 				}
 			}
-			owed += failed
+			rOwed += failed
 			s.m.addN(&s.m.rebalanceErrors, failed)
 			if !current() {
-				return moved, skipped // shutdown, or a newer ring whose wake restarts us
+				cut = true // shutdown, or a newer ring whose wake restarts us
+				break
 			}
 		}
-		// Checkpoint only a clean prefix: once any delivery of this pass is
-		// owed, the cursor stays put, so a pass interrupted later resumes at
-		// or before the failure instead of past it.
-		if sent && owed == 0 {
-			st.SetRebalanceCursor(epoch, rangeEnd(r))
+
+		mu.Lock()
+		defer mu.Unlock()
+		moved += rMoved
+		skipped += rSkipped
+		owed += rOwed
+		done[r], sent[r] = !cut, rSent
+		// Checkpoint only a clean prefix, in range order: once any delivery
+		// of this pass is owed the cursor stays put, and a range that
+		// finishes before an earlier one waits for it, so a pass interrupted
+		// later resumes at or before the first failure instead of past it.
+		for ; owed == 0 && next < keyRanges && done[next]; next++ {
+			if sent[next] {
+				st.SetRebalanceCursor(epoch, rangeEnd(next))
+			}
 		}
+	})
+	if !current() {
+		return moved, skipped // shutdown, or a newer ring whose wake restarts us
 	}
 
 	// Full walk completed: the cursor is retired either way, and the next

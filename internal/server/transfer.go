@@ -248,7 +248,8 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 type transferOutcome uint8
 
 const (
-	transferFailed  transferOutcome = iota // not delivered; a later pass retries
+	transferUnsent  transferOutcome = iota // never attempted: the transfer ended first
+	transferFailed                         // its push failed; a later pass retries
 	transferPresent                        // the peer already had it
 	transferStored                         // pushed and stored by the peer
 	transferGone                           // no readable local copy (evicted or corrupt)
@@ -262,7 +263,9 @@ const (
 // requests of at most transferBatchBytes. A push that fails in transport
 // marks the peer down and ends the transfer; a status error fails only
 // that push. afterPush, when set, runs after every delivered push with the
-// number of keys it carried and ends the transfer by returning false.
+// number of keys it carried and ends the transfer by returning false. Keys
+// a transfer never reached, and those of a push cut by ctx, stay
+// transferUnsent.
 func (s *Server) transfer(ctx context.Context, peer string, keys []string, afterPush func(sent int) bool) []transferOutcome {
 	out := make([]transferOutcome, len(keys))
 	c := s.peerClient(peer)
@@ -275,11 +278,18 @@ func (s *Server) transfer(ctx context.Context, peer string, keys []string, after
 	push := func() bool {
 		sent := len(frames)
 		res, err := c.PushResults(ctx, frames)
-		for j, r := range res { // nil when err is set
-			if r.Status == http.StatusOK {
-				out[idx[j]] = transferStored
-			} else {
-				s.cfg.Log.Printf("rebalance: push %s -> %s: %d %s", frames[j].Key[:8], peer, r.Status, r.Error)
+		if err != nil && ctx.Err() != nil {
+			return false
+		}
+		for j, i := range idx {
+			switch {
+			case err != nil:
+				out[i] = transferFailed
+			case res[j].Status == http.StatusOK:
+				out[i] = transferStored
+			default:
+				out[i] = transferFailed
+				s.cfg.Log.Printf("rebalance: push %s -> %s: %d %s", frames[j].Key[:8], peer, res[j].Status, res[j].Error)
 			}
 		}
 		frames, idx, size = frames[:0], idx[:0], 0
@@ -287,8 +297,6 @@ func (s *Server) transfer(ctx context.Context, peer string, keys []string, after
 		switch {
 		case err == nil:
 			return afterPush == nil || afterPush(sent)
-		case ctx.Err() != nil:
-			return false
 		case errors.As(err, &se):
 			s.cfg.Log.Printf("rebalance: push %d keys -> %s: %v", sent, peer, err)
 			return true

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -483,6 +485,270 @@ func TestRebalanceCursorStopsAtFailure(t *testing.T) {
 	}
 }
 
+// seedOwed stores perRange entries in each of the first ranges key ranges
+// on src, all owned by dst, and returns them by key.
+func seedOwed(t *testing.T, src, dst *cnode, label string, ranges, perRange int) map[string][]byte {
+	t.Helper()
+	vals := make(map[string][]byte)
+	count := make([]int, ranges)
+	for i, n := 0, 0; n < ranges*perRange; i++ {
+		key := testKey(fmt.Sprint(label, i))
+		r := keyRange(key)
+		if r >= ranges || count[r] == perRange || src.cl.Owner(key) != dst.url {
+			continue
+		}
+		vals[key] = []byte(fmt.Sprintf(`{%q:%d}`, label, i))
+		if err := src.st.Put(key, vals[key]); err != nil {
+			t.Fatal(err)
+		}
+		count[r]++
+		n++
+	}
+	return vals
+}
+
+// wrapInternode routes node 0's inter-node requests through rt.
+func wrapInternode(rt http.RoundTripper) func(int, *Config) {
+	return func(i int, cfg *Config) {
+		manualLoops(i, cfg)
+		if i != 0 {
+			return
+		}
+		internode := cfg.Internode
+		cfg.Internode = func(peer string) *Client {
+			c := internode(peer)
+			c.HTTPClient = &http.Client{Transport: rt}
+			return c
+		}
+	}
+}
+
+// pairingTransport counts the POST /v1/results pushes in flight through
+// it and holds a push that is alone until another arrives or 500 ms pass,
+// so pushes that a pass could overlap do overlap.
+type pairingTransport struct {
+	mu            sync.Mutex
+	inFlight, max int
+	pair          chan struct{} // a lone push's; closed when another arrives
+}
+
+func (p *pairingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method != http.MethodPost || r.URL.Path != "/v1/results" {
+		return http.DefaultTransport.RoundTrip(r)
+	}
+	p.mu.Lock()
+	p.inFlight++
+	p.max = max(p.max, p.inFlight)
+	alone := p.inFlight == 1
+	if alone {
+		p.pair = make(chan struct{})
+	} else if p.pair != nil {
+		close(p.pair) // releases the lone push
+		p.pair = nil
+	}
+	pair := p.pair
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.inFlight--
+		p.mu.Unlock()
+	}()
+	if alone {
+		select {
+		case <-pair:
+		case <-time.After(500 * time.Millisecond):
+		case <-r.Context().Done():
+		}
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRebalanceRangesInFlight: a pass works on two key ranges at once. A
+// holds keys B owns in four ranges; A's pushes to B go through a
+// transport that holds a lone push until another arrives. The most
+// pushes in flight at once is exactly two, and every key lands on B.
+func TestRebalanceRangesInFlight(t *testing.T) {
+	rt := &pairingTransport{}
+	nodes := startCluster(t, 2, 1, wrapInternode(rt))
+	src, dst := nodes[0], nodes[1]
+	waitFor(t, "peers to probe up", func() bool { return src.cl.Up(dst.url) })
+	vals := seedOwed(t, src, dst, "in-flight-", 4, 10)
+
+	src.srv.RebalancePass(context.Background())
+	if rs := src.srv.RebalanceStatus(); !rs.Done {
+		t.Fatalf("pass not Done: %+v", rs)
+	}
+	for key, v := range vals {
+		if got, ok := dst.st.Get(key); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("key %s (range %d) not on B byte for byte", key[:8], keyRange(key))
+		}
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.max != rangesInFlight {
+		t.Fatalf("at most %d pushes were in flight, want %d", rt.max, rangesInFlight)
+	}
+}
+
+// requestRange is the key range of the first key a presence check or a
+// push carries, or -1.
+func requestRange(r *http.Request) int {
+	if r.GetBody == nil {
+		return -1
+	}
+	body, err := r.GetBody()
+	if err != nil {
+		return -1
+	}
+	b, _ := io.ReadAll(body)
+	switch r.URL.Path {
+	case "/v1/results":
+		if len(b) >= frameKeyLen {
+			return keyRange(string(b[:frameKeyLen]))
+		}
+	case "/v1/results/missing":
+		var req MissingRequest
+		if json.Unmarshal(b, &req) == nil && len(req.Keys) > 0 {
+			return keyRange(req.Keys[0])
+		}
+	}
+	return -1
+}
+
+// holdFailTransport holds the push of range held until a request for a
+// range past held+1 shows that range held+1 is finished (or 500 ms pass),
+// then cancels the pass, as a shutdown would, and fails the held push.
+type holdFailTransport struct {
+	held   int
+	cancel context.CancelFunc
+	armed  atomic.Bool
+	fired  atomic.Bool
+	once   sync.Once
+	later  chan struct{} // closed by the first request for a range past held+1
+}
+
+func (h *holdFailTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if !h.armed.Load() {
+		return http.DefaultTransport.RoundTrip(r)
+	}
+	switch rg := requestRange(r); {
+	case rg > h.held+1:
+		h.once.Do(func() { close(h.later) })
+	case rg == h.held && r.URL.Path == "/v1/results":
+		select {
+		case <-h.later:
+		case <-time.After(500 * time.Millisecond):
+		}
+		h.fired.Store(true)
+		h.cancel()
+		return nil, errors.New("push failed by test transport")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRebalanceCursorRangesInFlight: a range that finishes before an
+// earlier one never moves the cursor past it. A holds keys B owns in
+// ranges 0-4. Ranges 0 and 1 go through; range 2's push is held until
+// range 3 is finished and range 4 has begun, then fails as the pass is
+// cancelled. The cursor may cover ranges 0 and 1 only, and the resumed
+// pass delivers every key.
+func TestRebalanceCursorRangesInFlight(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rt := &holdFailTransport{held: 2, cancel: cancel, later: make(chan struct{})}
+	nodes := startCluster(t, 2, 1, wrapInternode(rt))
+	src, dst := nodes[0], nodes[1]
+	waitFor(t, "peers to probe up", func() bool { return src.cl.Up(dst.url) })
+	vals := seedOwed(t, src, dst, "cursor-in-flight-", 5, 8)
+	first := ""
+	for key := range vals {
+		if keyRange(key) == rt.held && (first == "" || key < first) {
+			first = key
+		}
+	}
+
+	rt.armed.Store(true)
+	src.srv.RebalancePass(ctx)
+	rt.armed.Store(false)
+	if !rt.fired.Load() {
+		t.Fatal("scenario did not happen: range 2's push was never failed")
+	}
+	if rs := src.srv.RebalanceStatus(); rs.Done {
+		t.Fatalf("interrupted pass reported Done: %+v", rs)
+	}
+	if _, after, ok := src.st.RebalanceCursor(); ok && after >= first {
+		t.Fatalf("cursor %s moved past range 2's first failed key %s", after[:8], first[:8])
+	}
+
+	waitFor(t, "A to see B up", func() bool { return src.cl.Up(dst.url) })
+	src.srv.RebalancePass(context.Background())
+	if rs := src.srv.RebalanceStatus(); !rs.Done || rs.Errors != 0 {
+		t.Fatalf("resumed pass = %+v, want Done with no errors", rs)
+	}
+	for key, v := range vals {
+		if got, ok := dst.st.Get(key); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("resumed pass reported Done while key %s (range %d) is missing on B", key[:8], keyRange(key))
+		}
+	}
+}
+
+// TestRebalanceCutPassCountsNoErrors: keys a cut pass never read or
+// pushed are owed, not failed. A holds 300 keys of range 0 that B owns,
+// two presence-check batches. At 1000 keys/s the push of the first 256
+// is followed by a 256 ms pacing sleep, and the pass is cancelled 20 ms
+// after B has stored them: the other 44 keys were never offered, so the
+// pass counts no rebalance errors. A full pass then delivers them.
+func TestRebalanceCutPassCountsNoErrors(t *testing.T) {
+	const keys, rate = 300, 1000
+	nodes := startCluster(t, 2, 1, func(i int, cfg *Config) {
+		manualLoops(i, cfg)
+		cfg.RebalanceRate = rate
+	})
+	a, b := nodes[0], nodes[1]
+	waitFor(t, "peers to probe up", func() bool { return a.cl.Up(b.url) })
+	vals := seedOwed(t, a, b, "cut-", 1, keys)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for ctx.Err() == nil {
+			stored := 0
+			for key := range vals {
+				if _, ok := b.st.Peek(key); ok {
+					stored++
+				}
+			}
+			if stored >= transferBatchKeys {
+				time.Sleep(20 * time.Millisecond)
+				cancel()
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	moved, _ := a.srv.RebalancePass(ctx)
+	cancel()
+	<-watched
+	text, err := a.c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := metricValue(t, text, "netcached_cluster_rebalance_errors_total"); moved != transferBatchKeys || errs != 0 {
+		t.Fatalf("cut pass: moved %d, rebalance_errors_total %d; want %d and 0", moved, errs, transferBatchKeys)
+	}
+
+	a.srv.RebalancePass(context.Background())
+	if rs := a.srv.RebalanceStatus(); !rs.Done || rs.Moved != keys-transferBatchKeys || rs.Errors != 0 {
+		t.Fatalf("full pass after the cut = %+v, want Done, %d moved, no errors", rs, keys-transferBatchKeys)
+	}
+	for key, v := range vals {
+		if got, ok := b.st.Get(key); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("key %s not on B byte for byte", key[:8])
+		}
+	}
+}
+
 // TestRebalanceLeavesLRU: background transfers read without touching the
 // LRU. A pass over a source whose entries sit in the cold tier promotes
 // none of them, a hot source entry keeps its mtime, and the destination's
@@ -546,11 +812,13 @@ func TestRebalanceLeavesLRU(t *testing.T) {
 	}
 }
 
-// TestRebalanceRateHoldsOnAverage: with -rebalance-rate set, each push is
-// followed by its key count over the rate, so a pass cannot beat the cap,
-// and a shutdown during that sleep ends the pass at once.
+// TestRebalanceRateHoldsOnAverage: with -rebalance-rate set, every push
+// reserves its key count over the rate on one schedule that the ranges
+// in flight share, and sleeps until its reservation ends, so a pass
+// cannot beat the cap however its ranges overlap, and a shutdown during
+// that sleep ends the pass at once.
 func TestRebalanceRateHoldsOnAverage(t *testing.T) {
-	const keys, rate = 60, 300 // one push, then a 200 ms sleep
+	const keys, rate = 60, 300 // about 16 per-range pushes, 200 ms of reservations
 	capped := time.Second * keys / rate
 	nodes := startCluster(t, 2, 1, func(i int, cfg *Config) {
 		manualLoops(i, cfg)

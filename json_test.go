@@ -153,6 +153,53 @@ func TestCanonicalKeyAliasing(t *testing.T) {
 	}
 }
 
+// FuzzRunSpecKey decodes arbitrary wire specs and checks the store-key
+// contract on every one that Validate accepts: Canonical is idempotent,
+// Key is the key of the canonical spec, and the canonical encoding decodes
+// back to a spec with the same key.
+func FuzzRunSpecKey(f *testing.F) {
+	for _, spec := range []RunSpec{
+		{App: "sor", System: SystemNetCache},
+		{App: "gauss", System: SystemOptNet, Scale: 0.5},
+		{App: "fft", System: SystemDMONI, Sampling: &Sampling{Mode: SampleStratified}},
+		fullSpec(),
+	} {
+		b, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec RunSpec
+		if json.Unmarshal(data, &spec) != nil || spec.Validate() != nil {
+			return
+		}
+		canon := spec.Canonical()
+		if again := canon.Canonical(); !reflect.DeepEqual(canon, again) {
+			t.Fatalf("Canonical is not idempotent:\n%+v\n%+v", canon, again)
+		}
+		key, err := spec.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck, err := canon.Key(); err != nil || ck != key {
+			t.Fatalf("Key %s, Canonical().Key() %s (%v)", key, ck, err)
+		}
+		b, err := spec.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back RunSpec
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("canonical encoding does not decode: %v\n%s", err, b)
+		}
+		if bk, err := back.Key(); err != nil || bk != key {
+			t.Fatalf("decoded canonical encoding keys %s (%v), want %s\n%s", bk, err, key, b)
+		}
+	})
+}
+
 // TestResultJSONRoundTrip runs one real (tiny) simulation and pushes its
 // Result through the wire format the netcached service stores and serves:
 // the decode must reproduce every field — including the Proto map, the

@@ -190,7 +190,7 @@ func (c *Client) attempt(ctx context.Context, method, path, ctype string, body [
 	if c.OnResponse != nil {
 		c.OnResponse(resp.Header)
 	}
-	raw, err := c.readBody(resp.Body)
+	raw, err := c.readBody(resp)
 	if err != nil {
 		c.Breaker.Record(false)
 		return nil, err
@@ -213,21 +213,19 @@ func (c *Client) attempt(ctx context.Context, method, path, ctype string, body [
 	return raw, nil
 }
 
-// readBody reads at most MaxBodyBytes; a longer body is an error, not an
-// allocation.
-func (c *Client) readBody(r io.Reader) ([]byte, error) {
+// readBody reads at most MaxBodyBytes through readCapped, the reader the
+// transfer handlers use for request bodies: a declared length sizes one
+// buffer, and a body longer than the cap is an error, not an allocation.
+func (c *Client) readBody(resp *http.Response) ([]byte, error) {
 	limit := c.MaxBodyBytes
 	if limit <= 0 {
 		limit = defaultMaxBodyBytes
 	}
-	raw, err := io.ReadAll(io.LimitReader(r, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(raw)) > limit {
+	raw, err := readCapped(resp.Body, resp.ContentLength, limit)
+	if errors.Is(err, errBodyTooLarge) {
 		return nil, fmt.Errorf("netcached: response body exceeds %d-byte cap", limit)
 	}
-	return raw, nil
+	return raw, err
 }
 
 // backoff computes the pre-attempt delay: a server-supplied Retry-After

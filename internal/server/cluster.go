@@ -185,8 +185,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.add(&s.m.storeServed)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+	writeSized(w, body)
 }
 
 // ClusterResponse is the GET /v1/cluster body.

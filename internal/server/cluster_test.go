@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -548,6 +549,80 @@ func TestUpstreamReadThrough(t *testing.T) {
 	}
 	if v := metricValue(t, text, "netcached_upstream_misses_total"); v != 1 {
 		t.Fatalf("upstream misses = %d, want 1", v)
+	}
+}
+
+// TestResultRepliesSized: a stored result of about 8 KB, past net/http's
+// 2 KiB response buffer, comes back with its length declared and unchunked
+// on every path that serves one: a /v1/run hit, GET /v1/result/{key},
+// /v1/batch, and /v1/run across one proxy hop. A reader sizes one buffer
+// from the declared length.
+func TestResultRepliesSized(t *testing.T) {
+	nodes := startCluster(t, 2, 1, manualLoops)
+	a, b := nodes[0], nodes[1]
+	var spec netcache.RunSpec
+	var key string
+	for i := 1; key == "" || a.cl.Owner(key) != a.url; i++ {
+		spec = netcache.RunSpec{App: "sor", System: netcache.SystemNetCache, Scale: float64(i) / 100}
+		var err error
+		if key, err = spec.Key(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	value := []byte(fmt.Sprintf(`{"app":"sor","pad":%q}`, strings.Repeat("x", 8<<10)))
+	if err := a.st.Put(key, value); err != nil {
+		t.Fatal(err)
+	}
+	specBody, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchBody, err := json.Marshal(BatchRequest{Specs: []netcache.RunSpec{spec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hc := &http.Client{}
+	t.Cleanup(hc.CloseIdleConnections)
+	for _, tc := range []struct {
+		name, method, url string
+		body              []byte
+	}{
+		{"run hit", http.MethodPost, a.url + "/v1/run", specBody},
+		{"result lookup", http.MethodGet, a.url + "/v1/result/" + key, nil},
+		{"batch", http.MethodPost, a.url + "/v1/batch", batchBody},
+		{"proxied run", http.MethodPost, b.url + "/v1/run", specBody},
+	} {
+		req, err := http.NewRequest(tc.method, tc.url, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v: %s", tc.name, resp.StatusCode, err, got)
+		}
+		if resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %q for a %d-byte body",
+				tc.name, resp.ContentLength, resp.TransferEncoding, len(got))
+		}
+		if tc.name == "batch" {
+			var br BatchResponse
+			if err := json.Unmarshal(got, &br); err != nil || len(br.Results) != 1 {
+				t.Fatalf("batch: %v, %d entries", err, len(br.Results))
+			}
+			got = br.Results[0].Result
+		}
+		if !bytes.Equal(got, value) {
+			t.Errorf("%s: reply is not the stored value (%d bytes, want %d)", tc.name, len(got), len(value))
+		}
+	}
+	if n := b.sims.Load() + a.sims.Load(); n != 0 {
+		t.Fatalf("%d simulations; every reply should come from A's store", n)
 	}
 }
 

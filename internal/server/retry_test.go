@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -163,6 +165,9 @@ func TestCallerContextStopsRetries(t *testing.T) {
 	}
 }
 
+// TestBodyCap: a reply longer than MaxBodyBytes fails, whether it comes
+// without a length (read up to the cap) or declares one over the cap
+// (refused before any byte of the body is read).
 func TestBodyCap(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write(make([]byte, 4096))
@@ -175,7 +180,36 @@ func TestBodyCap(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "exceeds 1024-byte cap") {
 		t.Fatalf("err = %v", err)
 	}
+
+	body := &countingBody{Reader: bytes.NewReader(make([]byte, 4096))}
+	c.HTTPClient = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, ContentLength: 4096, Body: body, Request: r}, nil
+	})}
+	_, err = c.get(context.Background(), "/x")
+	if err == nil || !strings.Contains(err.Error(), "exceeds 1024-byte cap") {
+		t.Fatalf("declared 4096 bytes: err = %v", err)
+	}
+	if body.reads != 0 {
+		t.Fatalf("declared 4096 bytes: the body was read %d times before the refusal", body.reads)
+	}
 }
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// countingBody is a response body that counts its reads.
+type countingBody struct {
+	io.Reader
+	reads int
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	b.reads++
+	return b.Reader.Read(p)
+}
+
+func (b *countingBody) Close() error { return nil }
 
 func TestBatchRetriesFailedEntries(t *testing.T) {
 	// The batch endpoint succeeds, but individual entries fail on their

@@ -48,6 +48,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -161,6 +162,11 @@ type Server struct {
 	passMu      sync.Mutex      // one rebalance pass at a time
 	rebalMu     sync.Mutex
 	rebal       RebalanceStatus
+
+	// unused holds the connections that have not sent a request yet,
+	// under connMu; Shutdown closes them and sets it to nil.
+	connMu sync.Mutex
+	unused map[net.Conn]struct{}
 }
 
 // outcome is a finished request: either body (HTTP 200) or errMsg+code.
@@ -198,6 +204,8 @@ func New(cfg Config) *Server {
 		base:  base,
 		abort: abort,
 	}
+	s.unused = make(map[net.Conn]struct{})
+	s.http.ConnState = s.trackConn
 	mux := http.NewServeMux()
 	s.route(mux, "/v1/run", s.chaos(s.handleRun))
 	s.route(mux, "/v1/batch", s.chaos(s.handleBatch))
@@ -310,9 +318,38 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.abort()
 
 	// Simulations are done; handlers only have bytes left to write.
+	// net/http counts a connection that never sent a request as active
+	// until it is 5 s old, so those are closed here instead.
+	s.closeUnused()
 	hctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	return s.http.Shutdown(hctx)
+}
+
+// trackConn is the http.Server's ConnState hook: it keeps the set of
+// connections that have not sent a request yet, and once Shutdown has
+// closed that set it closes each new connection as it arrives.
+func (s *Server) trackConn(c net.Conn, state http.ConnState) {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(s.unused, c)
+	case s.unused == nil:
+		c.Close()
+	default:
+		s.unused[c] = struct{}{}
+	}
+}
+
+// closeUnused closes every connection that has not sent a request yet.
+func (s *Server) closeUnused() {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	for c := range s.unused {
+		c.Close()
+	}
+	s.unused = nil
 }
 
 // --- request plumbing -------------------------------------------------------
@@ -335,8 +372,16 @@ func (s *Server) writeOutcome(w http.ResponseWriter, out outcome) {
 		writeError(w, out.code, out.errMsg)
 		return
 	}
+	writeSized(w, out.body)
+}
+
+// writeSized answers 200 with a JSON body and declares its length. net/http
+// sends a body past its 2 KiB buffer chunked otherwise, and the reader then
+// has no size to read a result into one buffer.
+func writeSized(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(out.body)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // retryAfterSeconds estimates when a queue slot frees up: the observed mean
@@ -422,8 +467,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = e
 	})
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	body, err := json.Marshal(resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding batch: "+err.Error())
+		return
+	}
+	writeSized(w, append(body, '\n'))
 }
 
 // AppInfo describes one Table 4 application on GET /v1/apps.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -496,6 +497,58 @@ func TestShutdownDrainsCleanly(t *testing.T) {
 	}
 	if err := <-reqDone; err != nil {
 		t.Fatalf("draining request failed: %v", err)
+	}
+}
+
+// acceptSignal is a listener that reports each connection it accepts.
+type acceptSignal struct {
+	net.Listener
+	accepted chan struct{}
+}
+
+func (l acceptSignal) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+	}
+	return c, err
+}
+
+// TestShutdownClosesSilentConnection: a connection that never sends a
+// request does not hold Shutdown up. net/http counts such a connection as
+// active until it is 5 s old, so Shutdown used to wait 5 s for it and
+// fail with context.DeadlineExceeded whatever the caller's deadline.
+func TestShutdownClosesSilentConnection(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	al := acceptSignal{Listener: l, accepted: make(chan struct{}, 1)}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(al) }()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	<-al.accepted
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	begin := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown with a silent connection open: %v after %v", err, time.Since(begin))
+	}
+	if d := time.Since(begin); d > time.Second {
+		t.Fatalf("shutdown took %v with a silent connection open", d)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on the silent connection after shutdown = %d, %v; want EOF", n, err)
 	}
 }
 

@@ -121,9 +121,11 @@ func decodeFrames(body []byte, maxFrames int) ([]ResultFrame, error) {
 	return out, nil
 }
 
-// readCapped reads a request body of at most max bytes. A declared length
-// over the cap is refused before reading; otherwise reading stops one byte
-// past the cap. A declared length sizes the buffer once.
+// readCapped reads a body of at most max bytes, a request's or a
+// response's. A declared length over the cap is refused before reading;
+// otherwise reading stops one byte past the cap. A declared length sizes
+// the buffer once, so what is allocated up front is bounded by the cap
+// too, plus the bytes.MinRead that lets the read see EOF without growing.
 func readCapped(r io.Reader, declared, max int64) ([]byte, error) {
 	if declared > max {
 		return nil, errBodyTooLarge

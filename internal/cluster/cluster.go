@@ -144,14 +144,7 @@ func (c *Cluster) Replicas(key string) []string { return c.Ring().Replicas(key, 
 
 // IsReplica reports whether this node is in key's replica set — i.e.
 // whether it should serve the key authoritatively instead of proxying.
-func (c *Cluster) IsReplica(key string) bool {
-	for _, p := range c.Replicas(key) {
-		if p == c.self {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cluster) IsReplica(key string) bool { return c.Ring().IsReplica(key, c.rf, c.self) }
 
 // Up reports peer's health. Self is always up; unknown peers are down.
 func (c *Cluster) Up(peer string) bool {

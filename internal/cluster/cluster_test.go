@@ -50,6 +50,34 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
+// TestClusterIsReplicaAllocatesNothing: the proxy decision on every
+// request walks the ring without allocating, and agrees with Replicas.
+func TestClusterIsReplicaAllocatesNothing(t *testing.T) {
+	peers := peerSet(5)
+	c, err := New(Config{Self: peers[2], Peers: peers, Replication: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keys := testKeys(64)
+	for _, k := range keys {
+		want := false
+		for _, p := range c.Replicas(k) {
+			want = want || p == peers[2]
+		}
+		if got := c.IsReplica(k); got != want {
+			t.Fatalf("IsReplica(%s) = %v, want %v", k[:8], got, want)
+		}
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		c.IsReplica(keys[i%len(keys)])
+		i++
+	}); n != 0 {
+		t.Fatalf("IsReplica allocates %v times per call, want 0", n)
+	}
+}
+
 func TestClusterHealthMarking(t *testing.T) {
 	c := newTestCluster(t, nil)
 	if !c.Up("http://n2") || !c.Up("http://n1") {

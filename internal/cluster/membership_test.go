@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -253,4 +256,59 @@ func TestMembershipMinimalRemap(t *testing.T) {
 			t.Fatalf("%s: %d/%d keys remapped — far above the minimal-remap share", tc.name, moved, len(keys))
 		}
 	}
+}
+
+// FuzzMembership feeds arbitrary membership JSON, as a peer's gossip push
+// or pull or a persisted membership file delivers it, to a fresh Cluster.
+// Neither decoding nor Adopt may panic, and a membership the node adopted
+// must come back unchanged through SaveMembership and LoadMembership.
+func FuzzMembership(f *testing.F) {
+	for _, m := range []Membership{
+		{Epoch: 1, Peers: []string{"http://a", "http://b", "http://c"}},
+		{Epoch: 7, Peers: []string{"http://b"}},
+		{Epoch: 2, Peers: []string{"http://c", "http://a", "http://c"}},
+		{Epoch: 3, Peers: []string{"http://a", ""}},
+		{Epoch: 0, Peers: []string{}},
+	} {
+		b, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		raw := filepath.Join(dir, "raw.json")
+		if err := os.WriteFile(raw, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var m Membership
+		decErr := json.Unmarshal(data, &m)
+		loaded, ok := LoadMembership(raw)
+		if ok != (decErr == nil && len(m.Peers) > 0) || (ok && !reflect.DeepEqual(loaded, m)) {
+			t.Fatalf("LoadMembership = %+v, %v; decoding gave %+v, %v", loaded, ok, m, decErr)
+		}
+		if decErr != nil {
+			return
+		}
+		c, err := New(Config{Self: "http://a", Peers: []string{"http://a", "http://b"}, Replication: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if changed, err := c.Adopt(m); err != nil || !changed {
+			return
+		}
+		adopted := c.Membership()
+		if adopted.Epoch != m.Epoch || adopted.canonical() != m.canonical() {
+			t.Fatalf("adopted %+v from %+v", adopted, m)
+		}
+		path := filepath.Join(dir, "membership.json")
+		if err := SaveMembership(path, adopted); err != nil {
+			t.Fatal(err)
+		}
+		if back, ok := LoadMembership(path); !ok || !reflect.DeepEqual(back, adopted) {
+			t.Fatalf("round trip of %+v = %+v, %v", adopted, back, ok)
+		}
+	})
 }

@@ -26,6 +26,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -98,13 +99,14 @@ func (r *Ring) VNodes() int { return r.vnodes }
 
 // Owner returns the peer owning key: the first peer clockwise from the
 // key's ring position.
-func (r *Ring) Owner(key string) string { return r.peers[r.walk(key, 1)[0]] }
+func (r *Ring) Owner(key string) string { return r.Replicas(key, 1)[0] }
 
 // Replicas returns the first n distinct peers clockwise from key's ring
 // position — the owner first, then the peers a replicated write would
 // land on. n is clamped to the peer count.
 func (r *Ring) Replicas(key string, n int) []string {
-	idx := r.walk(key, n)
+	var buf [walkBuf]int32
+	idx := r.walk(buf[:0], key, n)
 	out := make([]string, len(idx))
 	for i, pi := range idx {
 		out[i] = r.peers[pi]
@@ -112,8 +114,26 @@ func (r *Ring) Replicas(key string, n int) []string {
 	return out
 }
 
-// walk collects the first n distinct peer indices clockwise from hash(key).
-func (r *Ring) walk(key string, n int) []int32 {
+// IsReplica reports whether peer is among Replicas(key, n), without
+// allocating for n up to walkBuf.
+func (r *Ring) IsReplica(key string, n int, peer string) bool {
+	var buf [walkBuf]int32
+	for _, pi := range r.walk(buf[:0], key, n) {
+		if r.peers[pi] == peer {
+			return true
+		}
+	}
+	return false
+}
+
+// walkBuf is the replica count a walk collects in its caller's stack
+// buffer; a larger replication factor grows the buffer on the heap.
+const walkBuf = 4
+
+// walk appends to the empty dst the first n distinct peer indices
+// clockwise from hash(key). A replica set is a handful of peers, so a scan
+// of those found so far checks distinctness.
+func (r *Ring) walk(dst []int32, key string, n int) []int32 {
 	if n <= 0 {
 		n = 1
 	}
@@ -123,16 +143,12 @@ func (r *Ring) walk(key string, n int) []int32 {
 	h := mix(hashString(key))
 	// First point with hash >= h, wrapping at the top of the ring.
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]int32, 0, n)
-	seen := make(map[int32]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)].peer
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
+	for i := 0; i < len(r.points) && len(dst) < n; i++ {
+		if p := r.points[(start+i)%len(r.points)].peer; !slices.Contains(dst, p) {
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }
 
 // mix is splitmix64's finalizer — the same avalanche the fault injector

@@ -146,9 +146,16 @@ func (s *Server) upstreamFetch(ctx context.Context, key string) ([]byte, bool) {
 }
 
 // storeFill persists a result simulated here or obtained from a peer or
-// upstream, honoring degraded-mode gating.
+// upstream, honoring degraded-mode gating. A value that is not JSON is not
+// stored: a replica's push endpoint would refuse it, so a non-replica
+// holding it would owe it forever. The caller's reply is unchanged.
 func (s *Server) storeFill(key string, body []byte) {
 	if s.cfg.Store == nil || !s.allowPut() {
+		return
+	}
+	if !json.Valid(body) {
+		s.m.add(&s.m.fillsRefused)
+		s.cfg.Log.Printf("store fill %s: value is not JSON; not stored", key[:8])
 		return
 	}
 	if err := s.cfg.Store.Put(key, body); err != nil {
@@ -185,7 +192,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.add(&s.m.storeServed)
-	writeSized(w, body)
+	writeSized(w, http.StatusOK, body)
 }
 
 // ClusterResponse is the GET /v1/cluster body.
@@ -232,6 +239,5 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Upstream != nil {
 		resp.Upstream = s.cfg.Upstream.BaseURL
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -552,6 +553,44 @@ func TestUpstreamReadThrough(t *testing.T) {
 	}
 }
 
+// TestUpstreamNonJSONNotStored: an upstream that answers a lookup with 200
+// and bytes that are not JSON is passed through to the client, but the
+// node does not store them: a replica would refuse them on every
+// rebalance push, so a non-replica holding them would owe them forever.
+func TestUpstreamNonJSONNotStored(t *testing.T) {
+	junk := []byte("not json\n")
+	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(junk)
+	}))
+	t.Cleanup(up.Close)
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var sims atomic.Int32
+	_, c := start(t, Config{Store: st, Workers: 1, RunFunc: countingRun(&sims), Upstream: NewClient(up.URL)})
+
+	spec := netcache.RunSpec{App: "sor", System: netcache.SystemNetCache, Scale: 0.05}
+	got, err := c.RunRaw(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, junk) || sims.Load() != 0 {
+		t.Fatalf("reply %q after %d simulations, want the upstream's bytes and none", got, sims.Load())
+	}
+	if keys := st.Keys(); len(keys) != 0 {
+		t.Fatalf("store holds %d keys, want none", len(keys))
+	}
+	text, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := metricValue(t, text, "netcached_store_fills_refused_total"); v != 1 {
+		t.Fatalf("fills refused = %d, want 1", v)
+	}
+}
+
 // TestResultRepliesSized: a stored result of about 8 KB, past net/http's
 // 2 KiB response buffer, comes back with its length declared and unchunked
 // on every path that serves one: a /v1/run hit, GET /v1/result/{key},
@@ -623,6 +662,82 @@ func TestResultRepliesSized(t *testing.T) {
 	}
 	if n := b.sims.Load() + a.sims.Load(); n != 0 {
 		t.Fatalf("%d simulations; every reply should come from A's store", n)
+	}
+}
+
+// TestJSONRepliesSized: the control replies a peer reads declare their
+// length too: a 256-key presence check (about 17 KB), the outcomes of a
+// 256-entry push, /v1/cluster, and an error.
+func TestJSONRepliesSized(t *testing.T) {
+	nodes := startCluster(t, 2, 1, manualLoops)
+	a := nodes[0]
+	keys := make([]string, transferBatchKeys)
+	frames := make([]ResultFrame, transferBatchKeys)
+	for i := range keys {
+		keys[i] = testKey(fmt.Sprintf("sized-%d", i))
+		frames[i] = ResultFrame{Key: keys[i], Value: []byte(`{"n":1}`)}
+	}
+	missingBody, err := json.Marshal(MissingRequest{Keys: keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hc := &http.Client{}
+	t.Cleanup(hc.CloseIdleConnections)
+	for _, tc := range []struct {
+		name, method, path string
+		body               []byte
+		code               int
+		check              func(body []byte) error
+	}{
+		{"presence check", http.MethodPost, "/v1/results/missing", missingBody, http.StatusOK, func(b []byte) error {
+			var r MissingResponse
+			if err := json.Unmarshal(b, &r); err != nil || len(r.Missing) != len(keys) {
+				return fmt.Errorf("%d missing keys (%v), want %d", len(r.Missing), err, len(keys))
+			}
+			return nil
+		}},
+		{"push", http.MethodPost, "/v1/results", encodeFrames(frames), http.StatusOK, func(b []byte) error {
+			var r PushResponse
+			if err := json.Unmarshal(b, &r); err != nil || len(r.Results) != len(frames) {
+				return fmt.Errorf("%d outcomes (%v), want %d", len(r.Results), err, len(frames))
+			}
+			return nil
+		}},
+		{"cluster", http.MethodGet, "/v1/cluster", nil, http.StatusOK, func(b []byte) error {
+			var r ClusterResponse
+			if err := json.Unmarshal(b, &r); err != nil || !r.Enabled || len(r.Peers) != 2 {
+				return fmt.Errorf("cluster reply %+v (%v)", r, err)
+			}
+			return nil
+		}},
+		{"error", http.MethodGet, "/v1/run", nil, http.StatusMethodNotAllowed, func(b []byte) error {
+			if !bytes.Equal(b, []byte("{\"error\":\"POST a RunSpec\"}\n")) {
+				return fmt.Errorf("error reply %q", b)
+			}
+			return nil
+		}},
+	} {
+		req, err := http.NewRequest(tc.method, a.url+tc.path, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != tc.code {
+			t.Fatalf("%s: status %d, %v: %s", tc.name, resp.StatusCode, err, got)
+		}
+		if resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %q for a %d-byte body",
+				tc.name, resp.ContentLength, resp.TransferEncoding, len(got))
+		}
+		if err := tc.check(got); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

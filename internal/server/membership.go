@@ -176,6 +176,5 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) writeMembership(w http.ResponseWriter, m cluster.Membership) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(m)
+	writeJSON(w, http.StatusOK, m)
 }

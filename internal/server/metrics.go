@@ -20,6 +20,7 @@ type metrics struct {
 	storeServed   uint64            // requests answered from the store
 	rejected      uint64            // requests refused by the admission queue
 	storePutFails uint64            // store writes that failed (degraded-mode trigger)
+	fillsRefused  uint64            // fills not stored because the value is not JSON
 	simDur        map[string]*stats.Histogram
 
 	// Cluster counters.
@@ -135,6 +136,11 @@ func (m *metrics) render(b *strings.Builder, s *Server, degraded bool) {
 	counter("netcached_coalesced_total", "Requests that joined an identical in-flight simulation.", uint64(s.runs.Coalesced.Load()))
 	counter("netcached_admission_rejected_total", "Requests refused with 429 by the admission queue.", m.rejected)
 	counter("netcached_store_put_failures_total", "Store writes that failed; repeated failures trigger degraded mode.", m.storePutFails)
+	counter("netcached_store_fills_refused_total", "Peer, upstream or simulated results not stored because they are not JSON.", m.fillsRefused)
+	fmt.Fprintf(b, "# HELP netcached_parsed_specs_total /v1/run bodies found in the parsed-spec table (hit) or parsed (miss).\n")
+	fmt.Fprintf(b, "# TYPE netcached_parsed_specs_total counter\n")
+	fmt.Fprintf(b, "netcached_parsed_specs_total{result=\"hit\"} %d\n", s.specs.hits.Load())
+	fmt.Fprintf(b, "netcached_parsed_specs_total{result=\"miss\"} %d\n", s.specs.misses.Load())
 	degradedVal := int64(0)
 	if degraded {
 		degradedVal = 1

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"slices"
 	"strconv"
@@ -395,6 +394,5 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 			resp.Ranges[i] = work[i].digest
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -39,6 +39,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -143,6 +144,9 @@ type Server struct {
 	runs  *runner.Pool[outcome]
 	base  context.Context
 	abort context.CancelFunc
+
+	// specs remembers the spec and key each recent /v1/run body parsed to.
+	specs specTable
 
 	// Degraded (read-only) mode state, under mu: putFails counts
 	// consecutive store Put failures; degraded flips once it reaches
@@ -359,9 +363,7 @@ type errorBody struct {
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(errorBody{Error: msg})
+	writeJSON(w, code, errorBody{Error: msg})
 }
 
 func (s *Server) writeOutcome(w http.ResponseWriter, out outcome) {
@@ -372,16 +374,28 @@ func (s *Server) writeOutcome(w http.ResponseWriter, out outcome) {
 		writeError(w, out.code, out.errMsg)
 		return
 	}
-	writeSized(w, out.body)
+	writeSized(w, http.StatusOK, out.body)
 }
 
-// writeSized answers 200 with a JSON body and declares its length. net/http
-// sends a body past its 2 KiB buffer chunked otherwise, and the reader then
-// has no size to read a result into one buffer.
-func writeSized(w http.ResponseWriter, body []byte) {
+// writeSized answers code with a JSON body and declares its length.
+// net/http sends a body past its 2 KiB buffer chunked otherwise, and the
+// reader then has no size to read it into one buffer.
+func writeSized(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
 	w.Write(body)
+}
+
+// writeJSON answers code with v encoded as json.Encoder writes it, newline
+// included, through writeSized.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(errorBody{Error: "encoding reply: " + err.Error()})
+	}
+	writeSized(w, code, append(body, '\n'))
 }
 
 // retryAfterSeconds estimates when a queue slot frees up: the observed mean
@@ -408,17 +422,40 @@ func (s *Server) retryAfterSeconds() int {
 
 // --- handlers ---------------------------------------------------------------
 
+// maxRunBytes caps a POST /v1/run body.
+const maxRunBytes = 1 << 20
+
+// handleRun serves POST /v1/run. A body parsed before is served with the
+// spec and key the table remembers; any other is decoded as the first JSON
+// value in it, validated and keyed, and remembered if that succeeds.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST a RunSpec")
 		return
 	}
-	var spec netcache.RunSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
+	body, err := readCapped(r.Body, r.ContentLength, maxRunBytes)
+	switch {
+	case errors.Is(err, errBodyTooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d-byte cap", maxRunBytes))
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
 	}
-	s.writeOutcome(w, s.execute(r.Context(), spec, isInternode(r)))
+	p, ok := s.specs.get(body)
+	if !ok {
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&p.spec); err != nil {
+			writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
+			return
+		}
+		var refused outcome
+		if p.key, refused = keySpec(p.spec); p.key == "" {
+			s.writeOutcome(w, refused)
+			return
+		}
+		s.specs.put(body, p)
+	}
+	s.writeOutcome(w, s.run(r.Context(), p.key, p.spec, isInternode(r)))
 }
 
 // BatchRequest is the POST /v1/batch body.
@@ -472,7 +509,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "encoding batch: "+err.Error())
 		return
 	}
-	writeSized(w, append(body, '\n'))
+	writeSized(w, http.StatusOK, append(body, '\n'))
 }
 
 // AppInfo describes one Table 4 application on GET /v1/apps.
@@ -489,8 +526,7 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 		desc, input := netcache.DescribeApp(name)
 		infos = append(infos, AppInfo{Name: name, Desc: desc, Input: input})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(infos)
+	writeJSON(w, http.StatusOK, infos)
 }
 
 // StatsResponse is the GET /v1/stats body: the storage engine's per-tier
@@ -512,8 +548,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.HasStore = true
 		resp.Store = s.cfg.Store.Stats()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleHealth reports the serving state: 200 "ok" (fully healthy), 200
@@ -595,20 +630,36 @@ func (s *Server) putSucceeded() {
 
 // --- the keyed execution path ----------------------------------------------
 
-// execute serves one spec through the pool's singleflight: one call per key
-// runs lead, and concurrent identical requests share its outcome. ctx is
-// the *waiter's* context: it bounds how long this request waits, while the
-// simulation itself runs under the pool's context. internode marks requests
-// proxied from a peer: they are served authoritatively, never re-proxied,
-// so disagreeing ring views can cost an extra hop but never a loop.
+// execute validates and keys spec, then serves it through run.
 func (s *Server) execute(ctx context.Context, spec netcache.RunSpec, internode bool) outcome {
+	key, refused := keySpec(spec)
+	if key == "" {
+		return refused
+	}
+	return s.run(ctx, key, spec, internode)
+}
+
+// keySpec returns spec's key, or an empty key and the outcome that refuses
+// the spec: 400 if it cannot run, 500 if it cannot be keyed.
+func keySpec(spec netcache.RunSpec) (string, outcome) {
 	if err := spec.Validate(); err != nil {
-		return outcome{code: http.StatusBadRequest, errMsg: err.Error()}
+		return "", outcome{code: http.StatusBadRequest, errMsg: err.Error()}
 	}
 	key, err := spec.Key()
 	if err != nil {
-		return outcome{code: http.StatusInternalServerError, errMsg: "keying spec: " + err.Error()}
+		return "", outcome{code: http.StatusInternalServerError, errMsg: "keying spec: " + err.Error()}
 	}
+	return key, outcome{}
+}
+
+// run serves a validated spec under its key through the pool's
+// singleflight: one call per key runs lead, and concurrent identical
+// requests share its outcome. ctx is the *waiter's* context: it bounds how
+// long this request waits, while the simulation itself runs under the
+// pool's context. internode marks requests proxied from a peer: they are
+// served authoritatively, never re-proxied, so disagreeing ring views can
+// cost an extra hop but never a loop.
+func (s *Server) run(ctx context.Context, key string, spec netcache.RunSpec, internode bool) outcome {
 	out, err := s.runs.Do(ctx, key, func(ctx context.Context) (outcome, error) {
 		return s.lead(ctx, key, spec, internode)
 	})

@@ -196,8 +196,7 @@ func (s *Server) handleMissing(w http.ResponseWriter, r *http.Request) {
 			resp.Missing = append(resp.Missing, key)
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handlePush serves POST /v1/results: the replica push target of the
@@ -242,8 +241,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 			out.Status = http.StatusOK
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // transferOutcome is what transfer did with one key.

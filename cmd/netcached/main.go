@@ -40,7 +40,8 @@
 // ring assigns each result key an owner, non-owners proxy misses to it, and
 // when the owner is unreachable they recompute locally and push the result
 // to it once it returns. -upstream chains a read-through parent cache that
-// is consulted (store-only) before simulating.
+// is consulted (store-only) before simulating; a transport failure takes it
+// out of the chain until its 2 s health probe finds it back.
 //
 // Membership is versioned: every change (POST /v1/cluster/membership, the
 // -join handshake, or the one-shot -admin mode) produces a new ring with a

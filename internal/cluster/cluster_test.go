@@ -15,13 +15,12 @@ func newTestCluster(t *testing.T, probe func(ctx context.Context, peer string) e
 		Peers:         []string{"http://n1", "http://n2", "http://n3"},
 		VNodes:        32,
 		Replication:   1,
-		Probe:         probe,
 		ProbeInterval: 5 * time.Millisecond,
-		ProbeTimeout:  50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetProbe(probe)
 	t.Cleanup(c.Close)
 	return c
 }
@@ -192,5 +191,27 @@ func TestClusterOwnershipAgreement(t *testing.T) {
 	// RF=2 over 3 nodes: each key has exactly 2 replicas cluster-wide.
 	if selfReplicas != 2*300 {
 		t.Fatalf("replica census = %d, want %d", selfReplicas, 2*300)
+	}
+}
+
+// TestClusterHealthCancelledProbe: a probe pass cut short by its context,
+// as when the loop stops, marks no remote down: the remote did not fail.
+func TestClusterHealthCancelledProbe(t *testing.T) {
+	h := NewHealth("test", time.Hour, nil)
+	h.Track("http://a", "http://b")
+	ctx, cancel := context.WithCancel(context.Background())
+	h.SetProbe(func(pctx context.Context, remote string) error {
+		cancel()
+		<-pctx.Done()
+		return pctx.Err()
+	})
+	h.ProbeNow(ctx)
+	if !h.Up("http://a") || !h.Up("http://b") {
+		t.Fatalf("cancelled probe pass marked a remote down: a=%v b=%v", h.Up("http://a"), h.Up("http://b"))
+	}
+	// Marks on a remote the table does not track are ignored.
+	h.MarkUp("http://stranger")
+	if h.Up("http://stranger") {
+		t.Fatal("untracked remote reported up")
 	}
 }

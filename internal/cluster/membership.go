@@ -133,26 +133,7 @@ func (c *Cluster) Adopt(m Membership) (bool, error) {
 	}
 	prevEpoch := c.epoch
 	c.ring, c.epoch = ring, m.Epoch
-	peers := make(map[string]*peerState, len(ring.peers))
-	for _, p := range ring.peers {
-		if p == c.self {
-			continue
-		}
-		if s, ok := c.peers[p]; ok {
-			peers[p] = s
-		} else {
-			peers[p] = &peerState{up: true}
-		}
-	}
-	// Peers no longer in the ring but still reachable are kept so a
-	// draining (decommissioned) node can be pushed to and probed until the
-	// operator stops it; unknown peers stay down by default elsewhere.
-	for p, s := range c.peers {
-		if _, ok := peers[p]; !ok {
-			peers[p] = s
-		}
-	}
-	c.peers = peers
+	c.trackRemotes(ring)
 	left := !ring.contains(c.self)
 	fns := append([]func(Membership){}, c.onChange...)
 	c.mu.Unlock()

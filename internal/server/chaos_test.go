@@ -94,7 +94,6 @@ func TestChaosSweep(t *testing.T) {
 		},
 	})
 	c.Retry = RetryPolicy{MaxAttempts: 8, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 9}
-	c.Breaker = &Breaker{Window: 40, Threshold: 0.9, Cooldown: 20 * time.Millisecond}
 
 	entries, err := c.Batch(ctx, specs)
 	if err != nil {
@@ -359,8 +358,9 @@ func TestChaosDegradedRecovery(t *testing.T) {
 }
 
 // TestChaosHTTPOnly: pure wire-level chaos (errors, disconnects, latency)
-// with a healthy backend — the retrying client must hide all of it, and the
-// breaker must stay closed at these rates.
+// with a healthy backend — the retrying client must hide all of it. The
+// client has no memory across requests, so every request gets its full
+// attempt budget however many earlier ones failed.
 func TestChaosHTTPOnly(t *testing.T) {
 	ctx := context.Background()
 	inj := faults.New(31)
@@ -375,7 +375,6 @@ func TestChaosHTTPOnly(t *testing.T) {
 		},
 	})
 	c.Retry = RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond, Seed: 3}
-	c.Breaker = &Breaker{Window: 20, Threshold: 0.9, Cooldown: 10 * time.Millisecond}
 
 	for i := 0; i < 40; i++ {
 		res, err := c.Run(ctx, netcache.RunSpec{App: "sor", System: netcache.SystemNetCache, Scale: 0.01 * float64(i+1)})
@@ -388,9 +387,6 @@ func TestChaosHTTPOnly(t *testing.T) {
 	}
 	if st := inj.Stats(); st[faults.HTTPError].Fired == 0 || st[faults.HTTPDisconnect].Fired == 0 {
 		t.Fatalf("HTTP chaos never fired: %+v", st)
-	}
-	if c.Breaker.State() != "closed" {
-		t.Fatalf("breaker %s after recoverable chaos", c.Breaker.State())
 	}
 }
 

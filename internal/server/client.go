@@ -23,13 +23,15 @@ const defaultMaxBodyBytes = 64 << 20
 
 // Client talks to a netcached server. The zero value of every optional
 // field preserves the simple behavior: http.DefaultClient, a single attempt
-// per request, no circuit breaker, and a 64 MiB response-body cap.
+// per request, and a 64 MiB response-body cap.
 //
 // With Retry configured, transport errors, per-attempt timeouts, and
 // retryable statuses (429, 5xx except 501) are retried with exponential
 // backoff plus deterministic jitter; a 429's Retry-After header overrides
 // the computed backoff. Batch additionally re-posts just the failed entries
-// of a partially successful batch.
+// of a partially successful batch. Every request spends its own attempt
+// budget; a caller that wants to fail fast against a dead server checks
+// Health first.
 type Client struct {
 	BaseURL    string // e.g. "http://127.0.0.1:8100"
 	HTTPClient *http.Client
@@ -37,10 +39,6 @@ type Client struct {
 	// Retry configures transport-level retries; the zero value performs a
 	// single attempt.
 	Retry RetryPolicy
-
-	// Breaker, when non-nil, fail-fasts requests with ErrCircuitOpen while
-	// the recent error rate is above its threshold.
-	Breaker *Breaker
 
 	// MaxBodyBytes caps how much of a response body is read (default 64
 	// MiB). Responses that exceed it fail rather than exhaust memory.
@@ -69,10 +67,9 @@ type Client struct {
 func NewClient(baseURL string) *Client { return &Client{BaseURL: baseURL} }
 
 // NewResilientClient returns a Client for baseURL with the default retry
-// policy and a default circuit breaker — the configuration sweeps should
-// use against a shared daemon.
+// policy — the configuration sweeps should use against a shared daemon.
 func NewResilientClient(baseURL string) *Client {
-	return &Client{BaseURL: baseURL, Retry: DefaultRetryPolicy(), Breaker: &Breaker{}}
+	return &Client{BaseURL: baseURL, Retry: DefaultRetryPolicy()}
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -118,8 +115,8 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 
 // do issues the request with the client's retry policy: up to
 // Retry.MaxAttempts tries, exponential backoff with deterministic jitter
-// between them, Retry-After honored on 429, and the circuit breaker (if
-// any) consulted before each attempt. ctype labels a non-nil body.
+// between them, and Retry-After honored on 429. ctype labels a non-nil
+// body.
 func (c *Client) do(ctx context.Context, method, path, ctype string, body []byte) ([]byte, error) {
 	attempts := c.Retry.attempts()
 	var last error
@@ -128,12 +125,6 @@ func (c *Client) do(ctx context.Context, method, path, ctype string, body []byte
 			if err := c.sleep(ctx, c.backoff(attempt, last)); err != nil {
 				return nil, err
 			}
-		}
-		if !c.Breaker.Allow() {
-			if last != nil {
-				return nil, fmt.Errorf("%w (last error: %v)", ErrCircuitOpen, last)
-			}
-			return nil, ErrCircuitOpen
 		}
 		raw, err := c.attempt(ctx, method, path, ctype, body)
 		if err == nil {
@@ -153,10 +144,7 @@ func (c *Client) do(ctx context.Context, method, path, ctype string, body []byte
 	return nil, last
 }
 
-// attempt performs one HTTP exchange, with the per-attempt timeout applied
-// and the outcome recorded on the breaker. Server faults (transport errors,
-// 5xx, attempt timeouts) count as breaker failures; 4xx contract errors and
-// 429 load shedding count as successes — the server is responsive.
+// attempt performs one HTTP exchange, with the per-attempt timeout applied.
 func (c *Client) attempt(ctx context.Context, method, path, ctype string, body []byte) ([]byte, error) {
 	actx := ctx
 	if c.Retry.AttemptTimeout > 0 {
@@ -183,7 +171,6 @@ func (c *Client) attempt(ctx context.Context, method, path, ctype string, body [
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		c.Breaker.Record(false)
 		return nil, err
 	}
 	defer resp.Body.Close()
@@ -192,7 +179,6 @@ func (c *Client) attempt(ctx context.Context, method, path, ctype string, body [
 	}
 	raw, err := c.readBody(resp)
 	if err != nil {
-		c.Breaker.Record(false)
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -206,10 +192,8 @@ func (c *Client) attempt(ctx context.Context, method, path, ctype string, body [
 		if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
 			se.RetryAfter = time.Duration(sec) * time.Second
 		}
-		c.Breaker.Record(resp.StatusCode < 500)
 		return nil, se
 	}
-	c.Breaker.Record(true)
 	return raw, nil
 }
 

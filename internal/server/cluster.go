@@ -21,9 +21,16 @@ const internodeHeader = "X-Netcached-Internode"
 
 func isInternode(r *http.Request) bool { return r.Header.Get(internodeHeader) != "" }
 
-// peerClient returns the inter-node client for peer, lazily built. The
-// default is a resilient client (3 attempts, breaker, internode header);
-// Config.Internode substitutes test or custom transports.
+// peerClient returns the inter-node client for peer, lazily built, tagged
+// with the internode header. Config.Internode substitutes test or custom
+// transports; the default makes 3 attempts with 50 ms base backoff, and
+// that policy is the whole inter-node attempt budget:
+//   - a dead replica costs one request its 3 attempts, about 75 to 150 ms
+//     of backoff, then nothing: proxy marks it down, and routing skips it
+//     until a probe revives it;
+//   - a replica answering 429 or 5xx costs each request its 3 attempts,
+//     then the request goes to the next replica or to the local
+//     recompute. The replica stays up, because it answered.
 func (s *Server) peerClient(peer string) *Client {
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
@@ -37,7 +44,6 @@ func (s *Server) peerClient(peer string) *Client {
 		c = &Client{
 			BaseURL: peer,
 			Retry:   RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second},
-			Breaker: &Breaker{},
 		}
 	}
 	if c.Headers == nil {
@@ -129,12 +135,23 @@ func (s *Server) proxy(ctx context.Context, key string, spec netcache.RunSpec) (
 }
 
 // upstreamFetch consults the read-through upstream tier with a store-only
-// lookup (never triggering an upstream simulation).
+// lookup (never triggering an upstream simulation). While the upstream is
+// down it is skipped: a dead tier costs one failed lookup, then none until
+// a probe revives it.
 func (s *Server) upstreamFetch(ctx context.Context, key string) ([]byte, bool) {
+	up := s.cfg.Upstream.BaseURL
+	if !s.upstreamHealth.Up(up) {
+		return nil, false
+	}
 	body, found, err := s.cfg.Upstream.Lookup(ctx, key)
 	if err != nil {
 		s.m.add(&s.m.upstreamErrors)
 		s.cfg.Log.Printf("upstream lookup %s: %v", key[:8], err)
+		// proxy's rule: only a transport failure marks the upstream down.
+		var se *StatusError
+		if !errors.As(err, &se) && ctx.Err() == nil {
+			s.upstreamHealth.MarkDown(up)
+		}
 		return nil, false
 	}
 	if !found {

@@ -69,7 +69,6 @@ func bootClusterNode(t *testing.T, urls []string, i int, dir string, fsys store.
 		Peers:         urls,
 		Replication:   rf,
 		ProbeInterval: 20 * time.Millisecond,
-		ProbeTimeout:  time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"netcache/internal/cluster"
 	"netcache/internal/stats"
 )
 
@@ -86,27 +87,18 @@ func (m *metrics) render(b *strings.Builder, s *Server, degraded bool) {
 	st := s.cfg.Store
 	inj := s.cfg.Inject
 
-	// Cluster state is snapshotted before taking m.mu: the cluster has its
-	// own lock, and lock-ordering discipline is cheaper than a deadlock.
-	var peerStatus []clusterPeerGauge
+	// Cluster and upstream state is snapshotted before taking m.mu: each
+	// has its own lock, and lock-ordering discipline is cheaper than a
+	// deadlock.
+	var peers []cluster.PeerStatus
 	var epoch uint64
-	var left, rebalDone int64
+	var left, upstreamUp bool
 	rebal := s.RebalanceStatus()
 	if cl := s.cfg.Cluster; cl != nil {
-		for _, ps := range cl.Status() {
-			up := int64(0)
-			if ps.Up {
-				up = 1
-			}
-			peerStatus = append(peerStatus, clusterPeerGauge{ps.URL, up})
-		}
-		epoch = cl.Epoch()
-		if cl.Left() {
-			left = 1
-		}
-		if rebal.Done {
-			rebalDone = 1
-		}
+		peers, epoch, left = cl.Status(), cl.Epoch(), cl.Left()
+	}
+	if up := s.cfg.Upstream; up != nil {
+		upstreamUp = s.upstreamHealth.Up(up.BaseURL)
 	}
 
 	m.mu.Lock()
@@ -141,11 +133,7 @@ func (m *metrics) render(b *strings.Builder, s *Server, degraded bool) {
 	fmt.Fprintf(b, "# TYPE netcached_parsed_specs_total counter\n")
 	fmt.Fprintf(b, "netcached_parsed_specs_total{result=\"hit\"} %d\n", s.specs.hits.Load())
 	fmt.Fprintf(b, "netcached_parsed_specs_total{result=\"miss\"} %d\n", s.specs.misses.Load())
-	degradedVal := int64(0)
-	if degraded {
-		degradedVal = 1
-	}
-	gauge("netcached_degraded", "1 while in degraded (read-only) mode, else 0.", degradedVal)
+	gauge("netcached_degraded", "1 while in degraded (read-only) mode, else 0.", gauge01(degraded))
 	gauge("netcached_inflight_simulations", "Simulations executing right now.", s.runs.Running.Load())
 	gauge("netcached_queued_simulations", "Simulations admitted but waiting for a worker.", s.runs.Waiting.Load())
 
@@ -180,8 +168,8 @@ func (m *metrics) render(b *strings.Builder, s *Server, degraded bool) {
 	if s.cfg.Cluster != nil {
 		fmt.Fprintf(b, "# HELP netcached_cluster_peer_up 1 while the peer answers probes/proxies, else 0 (self always 1).\n")
 		fmt.Fprintf(b, "# TYPE netcached_cluster_peer_up gauge\n")
-		for _, ps := range peerStatus {
-			fmt.Fprintf(b, "netcached_cluster_peer_up{peer=%q} %d\n", ps.peer, ps.up)
+		for _, ps := range peers {
+			fmt.Fprintf(b, "netcached_cluster_peer_up{peer=%q} %d\n", ps.URL, gauge01(ps.Up))
 		}
 		renderPeerCounter(b, "netcached_cluster_proxied_total",
 			"Misses proxied to and answered by the key's owner/replicas, by peer.", m.clusterProxied)
@@ -190,20 +178,21 @@ func (m *metrics) render(b *strings.Builder, s *Server, degraded bool) {
 		counter("netcached_cluster_fallback_recomputes_total",
 			"Misses recomputed locally because every replica was unreachable.", m.clusterFallbacks)
 		gauge("netcached_cluster_epoch", "Membership epoch this node currently routes with.", int64(epoch))
-		gauge("netcached_cluster_left", "1 after this node is decommissioned out of the membership (draining), else 0.", left)
+		gauge("netcached_cluster_left", "1 after this node is decommissioned out of the membership (draining), else 0.", gauge01(left))
 		counter("netcached_cluster_membership_syncs_total", "Memberships adopted via epoch-gossip pulls.", m.membershipSyncs)
 		counter("netcached_cluster_rebalance_passes_total", "Rebalance passes started.", m.rebalancePasses)
 		counter("netcached_cluster_rebalance_moved_total", "Keys pushed by the rebalance pass to a replica that lacked them.", m.rebalanceMoved)
 		counter("netcached_cluster_rebalance_skipped_total", "Keys the rebalance pass offered to a replica that already held them.", m.rebalanceSkipped)
 		counter("netcached_cluster_rebalance_errors_total", "Failed rebalance reads/pushes, retried on the next pass.", m.rebalanceErrors)
 		counter("netcached_cluster_rebalance_received_total", "Keys stored from peers' rebalance pushes.", m.rebalanceReceived)
-		gauge("netcached_cluster_rebalance_done", "1 while the last rebalance pass completed with nothing owed at the current epoch, else 0.", rebalDone)
+		gauge("netcached_cluster_rebalance_done", "1 while the last rebalance pass completed with nothing owed at the current epoch, else 0.", gauge01(rebal.Done))
 		gauge("netcached_cluster_rebalance_owed", "Key deliveries the last completed rebalance pass left undone.", int64(rebal.Owed))
 	}
 	if s.cfg.Upstream != nil {
 		counter("netcached_upstream_hits_total", "Misses answered by the read-through upstream tier.", m.upstreamHits)
 		counter("netcached_upstream_misses_total", "Upstream lookups that missed (simulated locally).", m.upstreamMisses)
 		counter("netcached_upstream_errors_total", "Upstream lookups that failed outright.", m.upstreamErrors)
+		gauge("netcached_upstream_up", "1 while the upstream is up, else 0; lookups are skipped until a probe revives it.", gauge01(upstreamUp))
 	}
 
 	if inj != nil {
@@ -248,10 +237,12 @@ func (m *metrics) render(b *strings.Builder, s *Server, degraded bool) {
 	}
 }
 
-// clusterPeerGauge is one pre-snapshotted peer_up sample.
-type clusterPeerGauge struct {
-	peer string
-	up   int64
+// gauge01 renders a flag as a 0/1 gauge value.
+func gauge01(v bool) int64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // renderPeerCounter writes one peer-labelled counter family, peers sorted.

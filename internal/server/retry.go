@@ -1,10 +1,6 @@
 package server
 
-import (
-	"errors"
-	"sync"
-	"time"
-)
+import "time"
 
 // RetryPolicy configures the Client's transport-level retries. The zero
 // value performs a single attempt (no retries), preserving the historical
@@ -63,163 +59,3 @@ func (p RetryPolicy) maxDelay() time.Duration {
 // retryAfterCap bounds how long a server-supplied Retry-After can hold the
 // client, even when it exceeds the policy's MaxDelay.
 const retryAfterCap = 30 * time.Second
-
-// ErrCircuitOpen is returned without touching the network while the
-// client's circuit breaker is open.
-var ErrCircuitOpen = errors.New("netcached: circuit breaker open")
-
-// Breaker is a windowed error-rate circuit breaker. It counts the outcomes
-// of the last Window attempts; when at least half the window has been
-// observed and the failure rate reaches Threshold, the breaker opens and
-// Allow fails fast for Cooldown. After Cooldown one half-open probe is let
-// through: success closes the breaker (and clears the window), failure
-// re-opens it. The zero value is ready to use with the defaults below.
-type Breaker struct {
-	Window    int           // sliding window size in attempts (default 20)
-	Threshold float64       // open at failures/window >= this (default 0.5)
-	Cooldown  time.Duration // open duration before a half-open probe (default 2s)
-
-	now func() time.Time // test hook; nil means time.Now
-
-	mu       sync.Mutex
-	outcomes []bool // ring of recent outcomes, true = failure
-	idx      int
-	n        int // filled portion of the ring
-	failures int
-	state    breakerState
-	openedAt time.Time
-	probing  bool // a half-open probe is in flight
-}
-
-type breakerState int
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-func (b *Breaker) window() int {
-	if b.Window <= 0 {
-		return 20
-	}
-	return b.Window
-}
-
-func (b *Breaker) threshold() float64 {
-	if b.Threshold <= 0 {
-		return 0.5
-	}
-	return b.Threshold
-}
-
-func (b *Breaker) cooldown() time.Duration {
-	if b.Cooldown <= 0 {
-		return 2 * time.Second
-	}
-	return b.Cooldown
-}
-
-func (b *Breaker) clock() time.Time {
-	if b.now != nil {
-		return b.now()
-	}
-	return time.Now()
-}
-
-// Allow reports whether an attempt may proceed. In the open state it fails
-// fast until Cooldown has elapsed, then admits exactly one probe.
-func (b *Breaker) Allow() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if b.clock().Sub(b.openedAt) < b.cooldown() {
-			return false
-		}
-		b.state = breakerHalfOpen
-		b.probing = true
-		return true
-	default: // half-open: one probe at a time
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
-	}
-}
-
-// Record feeds an attempt outcome into the window. ok=false means a
-// server-fault outcome (transport error, 5xx, attempt timeout); client-side
-// errors and load shedding should be recorded as ok.
-func (b *Breaker) Record(ok bool) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == breakerHalfOpen {
-		b.probing = false
-		if ok {
-			// Probe succeeded: close and forget the bad window.
-			b.state = breakerClosed
-			b.resetLocked()
-		} else {
-			b.state = breakerOpen
-			b.openedAt = b.clock()
-		}
-		return
-	}
-	w := b.window()
-	if len(b.outcomes) != w {
-		b.outcomes = make([]bool, w)
-		b.idx, b.n, b.failures = 0, 0, 0
-	}
-	if b.n == w {
-		if b.outcomes[b.idx] {
-			b.failures--
-		}
-	} else {
-		b.n++
-	}
-	b.outcomes[b.idx] = !ok
-	if !ok {
-		b.failures++
-	}
-	b.idx = (b.idx + 1) % w
-	if b.state == breakerClosed && b.n >= (w+1)/2 &&
-		float64(b.failures)/float64(b.n) >= b.threshold() {
-		b.state = breakerOpen
-		b.openedAt = b.clock()
-	}
-}
-
-func (b *Breaker) resetLocked() {
-	for i := range b.outcomes {
-		b.outcomes[i] = false
-	}
-	b.idx, b.n, b.failures = 0, 0, 0
-}
-
-// State renders the breaker state for logs and tests: "closed", "open", or
-// "half-open".
-func (b *Breaker) State() string {
-	if b == nil {
-		return "closed"
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}

@@ -238,80 +238,3 @@ func TestBatchRetriesFailedEntries(t *testing.T) {
 		}
 	}
 }
-
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	clock := time.Now()
-	b := &Breaker{Window: 10, Threshold: 0.5, Cooldown: time.Second, now: func() time.Time { return clock }}
-	if b.State() != "closed" || !b.Allow() {
-		t.Fatal("fresh breaker not closed")
-	}
-	// 5 failures in a 10-window with >= 5 observations trips it.
-	for i := 0; i < 5; i++ {
-		b.Record(false)
-	}
-	if b.State() != "open" {
-		t.Fatalf("state = %s after 5/5 failures", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker allowed a request before cooldown")
-	}
-	// Cooldown passes: exactly one probe is admitted.
-	clock = clock.Add(2 * time.Second)
-	if !b.Allow() {
-		t.Fatal("no probe after cooldown")
-	}
-	if b.Allow() {
-		t.Fatal("second concurrent probe admitted")
-	}
-	// Probe fails: re-open, wait, probe again, succeed: closed.
-	b.Record(false)
-	if b.State() != "open" {
-		t.Fatalf("state = %s after failed probe", b.State())
-	}
-	clock = clock.Add(2 * time.Second)
-	if !b.Allow() {
-		t.Fatal("no second probe")
-	}
-	b.Record(true)
-	if b.State() != "closed" {
-		t.Fatalf("state = %s after successful probe", b.State())
-	}
-	// The window was reset: one new failure must not re-open it.
-	b.Record(false)
-	for i := 0; i < 4; i++ {
-		b.Record(true)
-	}
-	if b.State() != "closed" {
-		t.Fatal("breaker re-opened on stale window state")
-	}
-}
-
-func TestBreakerToleratesLowErrorRate(t *testing.T) {
-	b := &Breaker{} // defaults: window 20, threshold 0.5
-	for i := 0; i < 200; i++ {
-		b.Record(i%20 != 0) // 5% failures: must stay closed
-	}
-	if b.State() != "closed" {
-		t.Fatalf("breaker opened at 5%% error rate: %s", b.State())
-	}
-}
-
-func TestClientBreakerFailsFast(t *testing.T) {
-	calls, h := flakyHandler(1000, http.StatusInternalServerError, "")
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	c := testClient(ts)
-	c.Breaker = &Breaker{Window: 4, Threshold: 0.5, Cooldown: time.Hour}
-	ctx := context.Background()
-	// Two requests x 4 attempts: plenty to trip a 4-window breaker.
-	c.get(ctx, "/x")
-	c.get(ctx, "/x")
-	before := calls.Load()
-	_, err := c.get(ctx, "/x")
-	if !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("err = %v, want ErrCircuitOpen", err)
-	}
-	if calls.Load() != before {
-		t.Fatal("open breaker still hit the network")
-	}
-}

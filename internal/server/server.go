@@ -109,14 +109,15 @@ type Config struct {
 	Cluster *cluster.Cluster
 
 	// Internode returns the client used to reach a peer; nil uses a
-	// default resilient client (3 attempts, breaker) tagged with the
-	// internode header so proxied requests cannot loop.
+	// default client (3 attempts, see peerClient). Either is tagged with
+	// the internode header so proxied requests cannot loop.
 	Internode func(peer string) *Client
 
 	// Upstream, when non-nil, is the read-through upstream tier: before
 	// simulating a miss, GET /v1/result/{key} is tried against it and a
 	// hit is persisted locally — the ncps pattern of local storage chained
-	// behind an upstream cache.
+	// behind an upstream cache. The server probes its /healthz every 2 s
+	// and skips it while it is down.
 	Upstream *Client
 
 	// RebalanceInterval is the rebalance pass's timer period (<= 0: 30s).
@@ -166,6 +167,9 @@ type Server struct {
 	passMu      sync.Mutex      // one rebalance pass at a time
 	rebalMu     sync.Mutex
 	rebal       RebalanceStatus
+
+	// upstreamHealth tracks Upstream's BaseURL; nil without Upstream.
+	upstreamHealth *cluster.Health
 
 	// unused holds the connections that have not sent a request yet,
 	// under connMu; Shutdown closes them and sets it to nil.
@@ -239,6 +243,16 @@ func New(cfg Config) *Server {
 		if cfg.Store != nil {
 			s.startRebalance()
 		}
+	}
+	if up := cfg.Upstream; up != nil {
+		// Probed every 2 s, the -probe-interval default.
+		s.upstreamHealth = cluster.NewHealth("upstream", 2*time.Second, cfg.Log)
+		s.upstreamHealth.Track(up.BaseURL)
+		s.upstreamHealth.SetProbe(func(ctx context.Context, _ string) error {
+			_, err := up.Health(ctx)
+			return err
+		})
+		s.upstreamHealth.Start()
 	}
 	return s
 }
@@ -316,6 +330,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// An interrupted rebalance pass resumes from its cursor at next boot.
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.Close()
+	}
+	if s.upstreamHealth != nil {
+		s.upstreamHealth.Close()
 	}
 	s.rebalancer.Stop()
 	s.runs.Close(ctx)
@@ -694,6 +711,7 @@ func (s *Server) lead(ctx context.Context, key string, spec netcache.RunSpec, in
 
 	cl := s.cfg.Cluster
 	owned := cl == nil || cl.IsReplica(key)
+	fallback := false
 	if !owned && !internode {
 		if out, ok := s.proxy(ctx, key, spec); ok {
 			return out, nil
@@ -703,9 +721,10 @@ func (s *Server) lead(ctx context.Context, key string, spec netcache.RunSpec, in
 		}
 		// Every replica is unreachable. Results are deterministic
 		// recomputations, so a down owner costs latency, not correctness:
-		// compute locally. Once stored here the key is owed to its
-		// replicas, and the rebalance pass delivers it when they are up.
-		s.m.add(&s.m.clusterFallbacks)
+		// compute locally (unless the upstream has it). Once stored here
+		// the key is owed to its replicas, and the rebalance pass delivers
+		// it when they are up.
+		fallback = true
 	}
 
 	if s.cfg.Upstream != nil {
@@ -716,6 +735,9 @@ func (s *Server) lead(ctx context.Context, key string, spec netcache.RunSpec, in
 	}
 
 	out, err := s.runs.Work(ctx, func(ctx context.Context) (outcome, error) {
+		if fallback {
+			s.m.add(&s.m.clusterFallbacks)
+		}
 		start := time.Now()
 		res, err := s.cfg.RunFunc(ctx, spec)
 		s.m.simDone(spec.App, time.Since(start).Microseconds())

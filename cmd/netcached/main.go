@@ -240,7 +240,7 @@ func main() {
 
 	var up *server.Client
 	if *upstream != "" {
-		up = server.NewResilientClient(*upstream)
+		up = &server.Client{BaseURL: *upstream, Retry: server.PeerRetryPolicy()}
 		logger.Printf("upstream read-through tier: %s", *upstream)
 	}
 

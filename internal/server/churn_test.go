@@ -134,9 +134,8 @@ func TestMembershipGossip(t *testing.T) {
 
 // TestRebalanceJoinDrain drives the fault-free join and decommission
 // paths: a sweep lands on a 2-node ring, a third node joins and the pass
-// streams its share over (resumably, via the persisted cursor machinery),
-// then the joiner is decommissioned and drains every key it holds back to
-// the survivors before reporting Done.
+// streams its share over, then the joiner is decommissioned and drains
+// every key it holds back to the survivors before reporting Done.
 func TestRebalanceJoinDrain(t *testing.T) {
 	ctx := context.Background()
 	fast := func(_ int, cfg *Config) {
@@ -243,9 +242,6 @@ func TestRebalanceJoinDrain(t *testing.T) {
 		if _, ok := home.st.Get(key); !ok {
 			t.Fatalf("drained key %s missing from its new owner %s", key[:8], owner)
 		}
-	}
-	if _, _, ok := joiner.st.RebalanceCursor(); ok {
-		t.Fatal("rebalance cursor survived a completed drain")
 	}
 	joiner.stop(t)
 
@@ -708,11 +704,6 @@ func TestClusterChurnSweep(t *testing.T) {
 		}
 		return true
 	})
-	for _, n := range live {
-		if _, _, ok := n.st.RebalanceCursor(); ok {
-			t.Fatalf("rebalance cursor outstanding on %s after a Done pass", n.url)
-		}
-	}
 
 	// Heal pass: any key that died with the killed node is recomputed (at
 	// most once, at the current epoch); everything else is served from the

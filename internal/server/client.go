@@ -31,7 +31,7 @@ const defaultMaxBodyBytes = 64 << 20
 // the computed backoff. Batch additionally re-posts just the failed entries
 // of a partially successful batch. Every request spends its own attempt
 // budget; a caller that wants to fail fast against a dead server checks
-// Health first.
+// Health, which makes one attempt, first.
 type Client struct {
 	BaseURL    string // e.g. "http://127.0.0.1:8100"
 	HTTPClient *http.Client
@@ -464,10 +464,12 @@ func (c *Client) Apps(ctx context.Context) ([]AppInfo, error) {
 	return infos, nil
 }
 
-// Health probes /healthz and returns the reported state: "ok" or
-// "degraded". A draining or unreachable server returns an error.
+// Health probes /healthz once, whatever the retry policy, and returns the
+// reported state: "ok" or "degraded". A draining or unreachable server
+// returns an error. A caller that probes on a schedule retries by probing
+// again.
 func (c *Client) Health(ctx context.Context) (string, error) {
-	raw, err := c.get(ctx, "/healthz")
+	raw, err := c.attempt(ctx, http.MethodGet, "/healthz", "", nil)
 	if err != nil {
 		return "", err
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"netcache"
 	"netcache/internal/cluster"
@@ -23,8 +22,9 @@ func isInternode(r *http.Request) bool { return r.Header.Get(internodeHeader) !=
 
 // peerClient returns the inter-node client for peer, lazily built, tagged
 // with the internode header. Config.Internode substitutes test or custom
-// transports; the default makes 3 attempts with 50 ms base backoff, and
-// that policy is the whole inter-node attempt budget:
+// transports; the default makes 3 attempts with 50 ms base backoff
+// (PeerRetryPolicy), and that policy is the whole inter-node attempt
+// budget:
 //   - a dead replica costs one request its 3 attempts, about 75 to 150 ms
 //     of backoff, then nothing: proxy marks it down, and routing skips it
 //     until a probe revives it;
@@ -41,10 +41,7 @@ func (s *Server) peerClient(peer string) *Client {
 	if s.cfg.Internode != nil {
 		c = s.cfg.Internode(peer)
 	} else {
-		c = &Client{
-			BaseURL: peer,
-			Retry:   RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second},
-		}
+		c = &Client{BaseURL: peer, Retry: PeerRetryPolicy()}
 	}
 	if c.Headers == nil {
 		c.Headers = map[string]string{}

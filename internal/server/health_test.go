@@ -105,7 +105,8 @@ func TestClusterFailingOwnerStaysUp(t *testing.T) {
 // TestClusterProbeStatuses: the probe is stricter than the request path.
 // Through the default peer client, a peer whose /healthz answers 503
 // (draining) is marked down by ProbeNow, and one answering 200 "degraded"
-// stays up, as it still serves.
+// stays up, as it still serves. A probe is one request whatever the
+// client's retry policy: the probe loop is the retry schedule.
 func TestClusterProbeStatuses(t *testing.T) {
 	healthz := func(h http.HandlerFunc) string {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -119,7 +120,9 @@ func TestClusterProbeStatuses(t *testing.T) {
 		return ts.URL
 	}
 	// The replies handleHealth gives while draining and while degraded.
+	var drainingProbes atomic.Int32
 	draining := healthz(func(w http.ResponseWriter, r *http.Request) {
+		drainingProbes.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "draining")
 	})
 	degraded := healthz(func(w http.ResponseWriter, r *http.Request) {
@@ -139,6 +142,9 @@ func TestClusterProbeStatuses(t *testing.T) {
 	}
 	if !cl.Up(degraded) {
 		t.Fatal("a peer whose /healthz answers 200 degraded was marked down")
+	}
+	if n := drainingProbes.Load(); n != 1 {
+		t.Fatalf("one ProbeNow sent the draining peer %d /healthz requests, want 1", n)
 	}
 }
 

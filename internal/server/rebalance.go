@@ -5,14 +5,12 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"netcache/internal/cluster"
 	"netcache/internal/loop"
 	"netcache/internal/runner"
-	"netcache/internal/store"
 )
 
 // Replica repair: the rebalance pass.
@@ -40,12 +38,11 @@ import (
 // One loop runs the pass. A membership adoption, a peer coming back up
 // and the -rebalance-interval timer wake it; the timer doubles as the
 // retry schedule. The pass works on rangesInFlight ranges at once, and
-// one pacing schedule holds all its pushes to -rebalance-rate. Progress
-// persists as the store's cursor, which covers only the longest prefix of
-// whole ranges, in range order, finished while the pass has left nothing
-// undone, so a crash, or a shutdown that cancels the pass, resumes at or
-// before the first failure. A pass stops as soon as a newer epoch is
-// adopted; the adoption's wake restarts it against the new ring.
+// one pacing schedule holds all its pushes to -rebalance-rate. It keeps
+// no progress record: a pass cut by a crash or a shutdown is walked again
+// from range 0 by the next one, whose presence checks skip the keys
+// already delivered. A pass stops as soon as a newer epoch is adopted;
+// the adoption's wake restarts it against the new ring.
 //
 // Decommission needs nothing extra: a node that has left the membership
 // replicates nothing, so the same pass drains its entire store to the new
@@ -135,12 +132,11 @@ type rangeWork struct {
 	digest RangeDigest // of shared
 }
 
-// planPass prices sorted keys from range first on against ring: per peer
-// in some key's replica set, per range, the keys that peer should hold.
-func planPass(keys []string, ring *cluster.Ring, rf int, self string, first int) map[string]*[keyRanges]rangeWork {
+// planPass prices sorted keys against ring: per peer in some key's
+// replica set, per range, the keys that peer should hold.
+func planPass(keys []string, ring *cluster.Ring, rf int, self string) map[string]*[keyRanges]rangeWork {
 	out := make(map[string]*[keyRanges]rangeWork)
-	start, _ := slices.BinarySearch(keys, rangeEnd(first-1))
-	for _, key := range keys[start:] {
+	for _, key := range keys {
 		r := keyRange(key)
 		reps := ring.Replicas(key, rf)
 		mine := slices.Contains(reps, self)
@@ -179,14 +175,7 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 	defer s.passMu.Unlock()
 	epoch, ring := cl.View()
 	self := cl.Self()
-
-	// Resume after the persisted cursor if it matches this epoch; a cursor
-	// from an older epoch priced keys against a ring that no longer routes.
-	first := 0
-	if ce, after, ok := st.RebalanceCursor(); ok && ce == epoch && store.ValidKey(after) {
-		first = keyRange(after) + 1
-	}
-	work := planPass(st.Keys(), ring, cl.Replication(), self, first)
+	work := planPass(st.Keys(), ring, cl.Replication(), self)
 	peers := make([]string, 0, len(work))
 	for peer := range work {
 		peers = append(peers, peer)
@@ -229,15 +218,12 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 	}
 	current := func() bool { return ctx.Err() == nil && cl.Epoch() == epoch }
 
-	// mu guards the pass's totals, the cursor's range bookkeeping and the
-	// pacing schedule shared by the ranges in flight.
+	// mu guards the pass's totals and the pacing schedule shared by the
+	// ranges in flight.
 	var (
 		mu     sync.Mutex
 		owed   int
-		done   [keyRanges]bool // range walked to the end
-		sent   [keyRanges]bool // range offered a live peer something
-		next   = first         // first range not yet behind the cursor
-		paceAt time.Time       // end of the last push's pacing reservation
+		paceAt time.Time // end of the last push's pacing reservation
 	)
 	// afterPush holds -rebalance-rate on average across every push of the
 	// pass: each push reserves its key count over the rate on one schedule,
@@ -261,13 +247,11 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 		return current()
 	}
 
-	runner.Each(keyRanges-first, rangesInFlight, func(i int) {
-		r := first + i
+	runner.Each(keyRanges, rangesInFlight, func(r int) {
 		if !current() {
 			return
 		}
 		var rMoved, rSkipped, rOwed int
-		rSent, cut := false, false
 		for _, peer := range peers {
 			w := &work[peer][r]
 			keys := w.always
@@ -283,7 +267,6 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 				rOwed += len(keys)
 				continue
 			}
-			rSent = true
 			failed := 0
 			for _, o := range s.transfer(ctx, peer, keys, afterPush) {
 				switch o {
@@ -308,8 +291,7 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 			rOwed += failed
 			s.m.addN(&s.m.rebalanceErrors, failed)
 			if !current() {
-				cut = true // shutdown, or a newer ring whose wake restarts us
-				break
+				break // shutdown, or a newer ring whose wake restarts us
 			}
 		}
 
@@ -318,24 +300,13 @@ func (s *Server) RebalancePass(ctx context.Context) (moved, skipped int) {
 		moved += rMoved
 		skipped += rSkipped
 		owed += rOwed
-		done[r], sent[r] = !cut, rSent
-		// Checkpoint only a clean prefix, in range order: once any delivery
-		// of this pass is owed the cursor stays put, and a range that
-		// finishes before an earlier one waits for it, so a pass interrupted
-		// later resumes at or before the first failure instead of past it.
-		for ; owed == 0 && next < keyRanges && done[next]; next++ {
-			if sent[next] {
-				st.SetRebalanceCursor(epoch, rangeEnd(next))
-			}
-		}
 	})
 	if !current() {
 		return moved, skipped // shutdown, or a newer ring whose wake restarts us
 	}
 
-	// Full walk completed: the cursor is retired either way, and the next
-	// pass walks from the top and retries whatever is owed.
-	st.ClearRebalanceCursor()
+	// Full walk completed; the next pass walks every range again and
+	// retries whatever is owed.
 	s.rebalMu.Lock()
 	if s.rebal.Epoch == epoch {
 		s.rebal.Done = owed == 0
@@ -360,15 +331,6 @@ func keyRange(key string) int {
 	return int(c - '0')
 }
 
-// rangeEnd is the greatest key of range r, so every key of ranges up to r
-// sorts at or below it; rangeEnd(-1) sorts below every key.
-func rangeEnd(r int) string {
-	if r < 0 {
-		return ""
-	}
-	return "0123456789abcdef"[r:r+1] + strings.Repeat("f", 63)
-}
-
 // handleDigest serves GET /v1/cluster/digest?peer=P: per key range, the
 // digest of this node's resident keys that both it and P replicate.
 // Chaos-exempt, like the other introspection endpoints.
@@ -389,7 +351,7 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 	}
 	epoch, ring := cl.View()
 	resp := DigestResponse{Epoch: epoch}
-	if work := planPass(s.cfg.Store.Keys(), ring, cl.Replication(), cl.Self(), 0)[peer]; work != nil {
+	if work := planPass(s.cfg.Store.Keys(), ring, cl.Replication(), cl.Self())[peer]; work != nil {
 		for i := range work {
 			resp.Ranges[i] = work[i].digest
 		}

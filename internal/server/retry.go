@@ -35,6 +35,14 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second}
 }
 
+// PeerRetryPolicy is the budget for a node's calls to the other caches it
+// chains to, its ring peers and its -upstream tier: 3 attempts, 50ms base
+// backoff, so 75 to 150 ms of backoff in all before a dead remote is
+// marked down.
+func PeerRetryPolicy() RetryPolicy {
+	return RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second}
+}
+
 func (p RetryPolicy) attempts() int {
 	if p.MaxAttempts <= 1 {
 		return 1

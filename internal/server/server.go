@@ -327,7 +327,7 @@ func (s *Server) Serve(l net.Listener) error {
 // simulation has joined and the listeners are closed.
 func (s *Server) Shutdown(ctx context.Context) error {
 	// Stop the cluster loops first: no background traffic while draining.
-	// An interrupted rebalance pass resumes from its cursor at next boot.
+	// A rebalance pass cut here is walked again, whole, after the next boot.
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.Close()
 	}

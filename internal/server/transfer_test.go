@@ -416,12 +416,12 @@ func (f *poisonFS) disarm() (fired, cancelled bool) {
 	return fired, cancelled
 }
 
-// TestRebalanceCursorStopsAtFailure: a pass interrupted after a failed
-// push must resume at or before the failed key. The destination refuses
+// TestRebalanceRewalkAfterFailure: a pass interrupted after a failed push
+// leaves the next pass to deliver the failed key. The destination refuses
 // one key while the first pass runs, and the pass is cancelled 40 stores
-// later, as a shutdown would. The resumed pass may report Done only with
-// that key on its owner.
-func TestRebalanceCursorStopsAtFailure(t *testing.T) {
+// later, as a shutdown would. The next pass may report Done only with
+// every key, the refused one included, on its owner.
+func TestRebalanceRewalkAfterFailure(t *testing.T) {
 	ls, urls := listenN(t, 2)
 	fsys := &poisonFS{FS: store.NewFaultFS(nil), after: 40}
 	mutate := func(i int, cfg *Config) {
@@ -469,18 +469,15 @@ func TestRebalanceCursorStopsAtFailure(t *testing.T) {
 	if rs := src.srv.RebalanceStatus(); rs.Done {
 		t.Fatalf("interrupted pass reported Done: %+v", rs)
 	}
-	if _, after, ok := src.st.RebalanceCursor(); ok && after >= poison {
-		t.Fatalf("cursor %s moved past the failed key %s", after[:8], poison[:8])
-	}
 
 	src.srv.RebalancePass(context.Background())
 	rs := src.srv.RebalanceStatus()
 	if !rs.Done || rs.Errors != 0 {
-		t.Fatalf("resumed pass = %+v, want Done with no errors", rs)
+		t.Fatalf("next pass = %+v, want Done with no errors", rs)
 	}
 	for _, key := range owned {
 		if got, ok := dst.st.Get(key); !ok || !bytes.Equal(got, vals[key]) {
-			t.Fatalf("resumed pass reported %+v while key %s (poisoned: %v) is missing on its owner", rs, key[:8], key == poison)
+			t.Fatalf("next pass reported %+v while key %s (poisoned: %v) is missing on its owner", rs, key[:8], key == poison)
 		}
 	}
 }
@@ -646,13 +643,12 @@ func (h *holdFailTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(r)
 }
 
-// TestRebalanceCursorRangesInFlight: a range that finishes before an
-// earlier one never moves the cursor past it. A holds keys B owns in
-// ranges 0-4. Ranges 0 and 1 go through; range 2's push is held until
-// range 3 is finished and range 4 has begun, then fails as the pass is
-// cancelled. The cursor may cover ranges 0 and 1 only, and the resumed
-// pass delivers every key.
-func TestRebalanceCursorRangesInFlight(t *testing.T) {
+// TestRebalanceRewalkRangesInFlight: a pass cut with ranges finished out
+// of order leaves nothing undelivered. A holds keys B owns in ranges 0-4.
+// Ranges 0 and 1 go through; range 2's push is held until range 3 is
+// finished and range 4 has begun, then fails as the pass is cancelled.
+// The next pass delivers every key before it reports Done.
+func TestRebalanceRewalkRangesInFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rt := &holdFailTransport{held: 2, cancel: cancel, later: make(chan struct{})}
@@ -660,12 +656,6 @@ func TestRebalanceCursorRangesInFlight(t *testing.T) {
 	src, dst := nodes[0], nodes[1]
 	waitFor(t, "peers to probe up", func() bool { return src.cl.Up(dst.url) })
 	vals := seedOwed(t, src, dst, "cursor-in-flight-", 5, 8)
-	first := ""
-	for key := range vals {
-		if keyRange(key) == rt.held && (first == "" || key < first) {
-			first = key
-		}
-	}
 
 	rt.armed.Store(true)
 	src.srv.RebalancePass(ctx)
@@ -676,19 +666,53 @@ func TestRebalanceCursorRangesInFlight(t *testing.T) {
 	if rs := src.srv.RebalanceStatus(); rs.Done {
 		t.Fatalf("interrupted pass reported Done: %+v", rs)
 	}
-	if _, after, ok := src.st.RebalanceCursor(); ok && after >= first {
-		t.Fatalf("cursor %s moved past range 2's first failed key %s", after[:8], first[:8])
-	}
 
 	waitFor(t, "A to see B up", func() bool { return src.cl.Up(dst.url) })
 	src.srv.RebalancePass(context.Background())
 	if rs := src.srv.RebalanceStatus(); !rs.Done || rs.Errors != 0 {
-		t.Fatalf("resumed pass = %+v, want Done with no errors", rs)
+		t.Fatalf("next pass = %+v, want Done with no errors", rs)
 	}
 	for key, v := range vals {
 		if got, ok := dst.st.Get(key); !ok || !bytes.Equal(got, v) {
-			t.Fatalf("resumed pass reported Done while key %s (range %d) is missing on B", key[:8], keyRange(key))
+			t.Fatalf("next pass reported Done while key %s (range %d) is missing on B", key[:8], keyRange(key))
 		}
+	}
+}
+
+// TestRebalanceIgnoresStaleCursor: a store directory an older version
+// wrote may hold rebalance/cursor.json, that version's record of the key
+// ranges a pass had finished at an epoch. Two rings can share an epoch (a
+// static -peers ring stays at epoch 0), so such a record proves nothing,
+// and the pass reads none. A holds 8 keys B owns, in ranges 0 and 1, and a
+// cursor at A's epoch past both ranges. The next pass delivers every key,
+// byte for byte, before it reports Done.
+func TestRebalanceIgnoresStaleCursor(t *testing.T) {
+	nodes := startCluster(t, 2, 1, manualLoops)
+	src, dst := nodes[0], nodes[1]
+	waitFor(t, "peers to probe up", func() bool { return src.cl.Up(dst.url) })
+	vals := seedOwed(t, src, dst, "stale-cursor-", 2, 4)
+	dir := filepath.Join(src.st.Dir(), "rebalance")
+	cursor := fmt.Sprintf(`{"epoch":%d,"after":%q}`, src.cl.Epoch(), "1"+strings.Repeat("f", 63))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "cursor.json"), []byte(cursor), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	src.srv.RebalancePass(context.Background())
+	rs := src.srv.RebalanceStatus()
+	missing := 0
+	for key, v := range vals {
+		if got, ok := dst.st.Get(key); !ok || !bytes.Equal(got, v) {
+			missing++
+		}
+	}
+	if missing > 0 {
+		t.Fatalf("pass reported %+v while %d of %d keys are missing on their owner", rs, missing, len(vals))
+	}
+	if !rs.Done || rs.Owed != 0 || rs.Errors != 0 {
+		t.Fatalf("pass = %+v, want Done with nothing owed", rs)
 	}
 }
 

@@ -76,58 +76,6 @@ func TestStoreKeys(t *testing.T) {
 	}
 }
 
-func TestRebalanceCursor(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	if _, _, ok := s.RebalanceCursor(); ok {
-		t.Fatal("fresh store has a cursor")
-	}
-	if err := s.SetRebalanceCursor(3, rebalanceKey(0)); err != nil {
-		t.Fatal(err)
-	}
-	epoch, after, ok := s.RebalanceCursor()
-	if !ok || epoch != 3 || after != rebalanceKey(0) {
-		t.Fatalf("cursor = (%d, %s, %v)", epoch, after, ok)
-	}
-
-	// The cursor survives a reopen (that is its whole point) and does not
-	// appear in Keys or the LRU accounting.
-	s.Close()
-	s2, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if epoch, _, ok := s2.RebalanceCursor(); !ok || epoch != 3 {
-		t.Fatalf("cursor lost across reopen: (%d, %v)", epoch, ok)
-	}
-	if got := s2.Keys(); len(got) != 0 {
-		t.Fatalf("cursor leaked into Keys(): %v", got)
-	}
-
-	s2.ClearRebalanceCursor()
-	if _, _, ok := s2.RebalanceCursor(); ok {
-		t.Fatal("cursor survived Clear")
-	}
-	s2.ClearRebalanceCursor() // idempotent
-
-	// A torn cursor reads as no cursor, not an error.
-	if err := os.MkdirAll(filepath.Join(dir, rebalanceDir), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s2.rebalanceCursorPath(), []byte(`{"epoch": 9, "af`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s2.RebalanceCursor(); ok {
-		t.Fatal("torn cursor parsed")
-	}
-}
-
 // TestPeek: the background read verifies like Get but leaves the LRU
 // alone — no mtime refresh on a hot hit, no promotion on a cold hit — and
 // still drops a corrupt entry.

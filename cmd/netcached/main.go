@@ -8,8 +8,7 @@
 //
 //	netcached -addr :8100 -store /var/cache/netcached \
 //	          -store-max-bytes 1073741824 -j 8 -timeout 10m \
-//	          [-hot-max-bytes 268435456] [-cold-age 1h] \
-//	          [-compact-interval 10m] [-cold-compression flate] \
+//	          [-cold-age 1h] [-compact-interval 10m] \
 //	          [-scrub-interval 1h] [-pprof localhost:6060] \
 //	          [-chaos "seed=42,store.write=0.1,http.error=0.05"] \
 //	          [-peers http://a:8100,http://b:8100 -self http://a:8100] \
@@ -48,11 +47,12 @@
 // higher epoch, gossiped via epoch headers on probes and proxy traffic.
 // One rebalance pass per node keeps every stored key on its replicas: it
 // runs on every epoch change, whenever a peer comes back up, and every
-// -rebalance-interval, and it is resumable and rate-limited by
-// -rebalance-rate. A decommissioned node keeps serving while it drains;
-// stop it once GET /v1/cluster reports rebalance done at the decommission
-// epoch. With a -store, the adopted membership is persisted under
-// <store>/cluster/ and resumed at boot.
+// -rebalance-interval, and it is rate-limited by -rebalance-rate. A pass
+// cut short keeps no progress: the next one walks every key range again.
+// A decommissioned node keeps serving while it drains; stop it once GET
+// /v1/cluster reports rebalance done at the decommission epoch. With a
+// -store, the adopted membership is persisted under <store>/cluster/ and
+// resumed at boot.
 //
 // Example:
 //
@@ -93,7 +93,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8100", "listen address")
 		storeDir = flag.String("store", "", "result store directory (empty = no persistent store)")
-		maxBytes = flag.Int64("store-max-bytes", 1<<30, "store size bound; LRU-evicted beyond it (0 = unbounded)")
+		maxBytes = flag.Int64("store-max-bytes", 1<<30, "store size bound; LRU-evicted beyond it, and beyond a quarter of it the oldest hot entries compact into cold segments (0 = unbounded)")
 		jobs     = flag.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 15*time.Minute, "per-simulation wall-clock limit (0 = none)")
 		queue    = flag.Int("queue", 64, "admission queue depth beyond the worker count")
@@ -102,10 +102,8 @@ func main() {
 		scrub    = flag.Duration("scrub-interval", 0, "background store scrub period (0 = disabled)")
 		chaos    = flag.String("chaos", "", `fault injection spec, e.g. "seed=42,store.write=0.1,http.error=0.05" (testing only)`)
 
-		hotMax      = flag.Int64("hot-max-bytes", 0, "hot-tier size bound; older entries compact into cold segments beyond it (0 = store-max-bytes/4)")
-		coldAge     = flag.Duration("cold-age", time.Hour, "idle age after which a hot entry migrates to the cold tier")
-		compactIvl  = flag.Duration("compact-interval", 10*time.Minute, "background compaction period (0 = disabled)")
-		compression = flag.String("cold-compression", "flate", `cold-tier per-record compression: "flate" or "none"`)
+		coldAge    = flag.Duration("cold-age", time.Hour, "idle age after which a hot entry migrates to the cold tier")
+		compactIvl = flag.Duration("compact-interval", 10*time.Minute, "background compaction period (0 = disabled)")
 
 		peers       = flag.String("peers", "", "comma-separated base URLs of every cluster member, self included (empty = standalone)")
 		self        = flag.String("self", "", "this node's entry in -peers (its advertised base URL)")
@@ -165,11 +163,9 @@ func main() {
 		}
 		var err error
 		st, err = store.OpenOptions(*storeDir, store.Options{
-			MaxBytes:    *maxBytes,
-			HotMaxBytes: *hotMax,
-			ColdAge:     *coldAge,
-			Compression: *compression,
-			FS:          fsys,
+			MaxBytes: *maxBytes,
+			ColdAge:  *coldAge,
+			FS:       fsys,
 		})
 		if err != nil {
 			logger.Fatal(err)
@@ -183,7 +179,7 @@ func main() {
 		}
 		if *compactIvl > 0 {
 			st.StartCompactor(*compactIvl)
-			logger.Printf("compacting store every %v (cold-age %v, compression %s)", *compactIvl, *coldAge, *compression)
+			logger.Printf("compacting store every %v (cold-age %v)", *compactIvl, *coldAge)
 		}
 		defer st.Close()
 	}

@@ -72,9 +72,6 @@ func NewRunner(opt Options) *Runner {
 	return &Runner{opt: opt, cache: make(map[string]netcache.Result)}
 }
 
-// Opt returns the runner options.
-func (r *Runner) Opt() Options { return r.opt }
-
 // spec is the RunSpec the runner executes for s. Every spec shares the
 // options' Sampling, which nothing writes; a disabled one canonicalizes away.
 func (r *Runner) spec(s Spec) netcache.RunSpec {

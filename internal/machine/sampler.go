@@ -131,7 +131,7 @@ func (m *Machine) apply(n *Node, e WarmEffect) {
 }
 
 // nodeDelta is the slim per-node snapshot the sampler checkpoints with: only
-// the scalar counters DeltaSince differences, excluding the ~400-byte miss
+// the scalar counters delta differences, excluding the ~400-byte miss
 // histogram a full NodeStats copy would drag along. At P=256 with thousands
 // of checkpoints per run, the full copies dominated the allocation profile.
 type nodeDelta struct {
@@ -196,34 +196,8 @@ func (s *sampler) delta(index int) Interval {
 	return iv
 }
 
-// Checkpoint is a snapshot of the run's measurement state at an interval
-// boundary: the machine-wide reference count, the processor-summed clock,
-// and a dense copy of every node's counters. NodeStats is a fixed-size value
-// struct (the histogram is an inline array), so the copy is P struct
-// assignments — no per-counter work.
-type Checkpoint struct {
-	Refs uint64
-	// Clock is Engine.SumClock at the checkpoint: processor-summed pcycles,
-	// the skew-immune progress measure (functional bursts run one processor
-	// far ahead of the parked rest, so max-style clocks jump erratically at
-	// reference-count boundaries).
-	Clock Time
-	Nodes []NodeStats
-}
-
-// Checkpoint captures the measurement state at the current point of
-// execution, letting measurement resume (via DeltaSince) at an interval
-// start. Exported so custom harnesses can measure their own windows.
-func (m *Machine) Checkpoint(refs uint64) Checkpoint {
-	cp := Checkpoint{Refs: refs, Clock: m.Eng.SumClock(), Nodes: make([]NodeStats, len(m.Nodes))}
-	for i, n := range m.Nodes {
-		cp.Nodes[i] = n.St
-	}
-	return cp
-}
-
-// Interval is the measured delta between a checkpoint and a later point of
-// the same run.
+// Interval is the measured delta between a checkpoint (mark) and a later
+// point of the same run.
 type Interval struct {
 	Index    int
 	StartRef uint64
@@ -257,30 +231,6 @@ type Interval struct {
 	L2MissLat  Time
 
 	UpdatesIssued uint64
-}
-
-// DeltaSince measures the interval from cp to the current point. Refs is
-// left for the caller to fill (the sampler tracks references machine-wide).
-func (m *Machine) DeltaSince(cp Checkpoint, index int) Interval {
-	iv := Interval{Index: index, StartRef: cp.Refs, Cycles: m.Eng.SumClock() - cp.Clock}
-	for i, n := range m.Nodes {
-		a, b := &n.St, &cp.Nodes[i]
-		iv.Reads += a.Reads - b.Reads
-		iv.Writes += a.Writes - b.Writes
-		iv.L1Hits += a.L1Hits - b.L1Hits
-		iv.WBHits += a.WBHits - b.WBHits
-		iv.L2Hits += a.L2Hits - b.L2Hits
-		iv.LocalMiss += a.LocalMiss - b.LocalMiss
-		iv.RemoteMiss += a.RemoteMiss - b.RemoteMiss
-		iv.SharedHits += a.SharedHits - b.SharedHits
-		iv.ReadStall += a.ReadStall - b.ReadStall
-		iv.WriteStall += a.WriteStall - b.WriteStall
-		iv.SyncStall += a.SyncStall - b.SyncStall
-		iv.Busy += a.Busy - b.Busy
-		iv.L2MissLat += a.L2MissLat - b.L2MissLat
-		iv.UpdatesIssued += a.UpdatesIssued - b.UpdatesIssued
-	}
-	return iv
 }
 
 // SampleStats is the sampled-run record attached to RunStats: the effective

@@ -113,9 +113,6 @@ func (rs RunStats) AvgL2MissLatency() float64 {
 	return float64(t.L2MissLat) / float64(t.L2Misses())
 }
 
-// ReadLatency is the total read stall time across processors, in pcycles.
-func (rs RunStats) ReadLatency() Time { return rs.Totals().ReadStall }
-
 // ReadLatencyFraction is read stall time as a fraction of total machine time
 // (P * Cycles).
 func (rs RunStats) ReadLatencyFraction() float64 {

@@ -281,7 +281,7 @@ func TestChaosColdTierOnlyFailure(t *testing.T) {
 func TestChaosDegradedRecovery(t *testing.T) {
 	ctx := context.Background()
 	inj := faults.New(99) // no sites armed yet: the first Put must succeed
-	st, err := store.OpenFS(t.TempDir(), 0, store.NewFaultFS(inj))
+	st, err := store.OpenOptions(t.TempDir(), store.Options{FS: store.NewFaultFS(inj)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func (n *cnode) stop(t *testing.T) {
 // fsys (nil = the real filesystem) lets churn tests arm store-level chaos.
 func bootClusterNode(t *testing.T, urls []string, i int, dir string, fsys store.FS, l net.Listener, rf int, mutate func(int, *Config)) *cnode {
 	t.Helper()
-	st, err := store.OpenFS(dir, 0, fsys)
+	st, err := store.OpenOptions(dir, store.Options{FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -32,6 +32,9 @@ const epochHeader = "X-Netcached-Epoch"
 // receiver to adopt if newer. Unlike the admin actions it never bumps the
 // epoch.
 const membershipActionAdopt = "adopt"
+
+// maxMembershipBytes caps a POST /v1/cluster/membership body.
+const maxMembershipBytes = 1 << 20
 
 // MembershipRequest is the POST /v1/cluster/membership body: an admin
 // action (join / remove / decommission) on Peer, or an adopt push
@@ -137,8 +140,12 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		s.writeMembership(w, cl.Membership())
 	case http.MethodPost:
+		body, ok := readRequest(w, r, maxMembershipBytes)
+		if !ok {
+			return
+		}
 		var req MembershipRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, "bad request: "+err.Error())
 			return
 		}

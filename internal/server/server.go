@@ -450,13 +450,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a RunSpec")
 		return
 	}
-	body, err := readCapped(r.Body, r.ContentLength, maxRunBytes)
-	switch {
-	case errors.Is(err, errBodyTooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d-byte cap", maxRunBytes))
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
+	body, ok := readRequest(w, r, maxRunBytes)
+	if !ok {
 		return
 	}
 	p, ok := s.specs.get(body)
@@ -474,6 +469,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeOutcome(w, s.run(r.Context(), p.key, p.spec, isInternode(r)))
 }
+
+// maxBatchBytes caps a POST /v1/batch body.
+const maxBatchBytes = 16 << 20
 
 // BatchRequest is the POST /v1/batch body.
 type BatchRequest struct {
@@ -497,8 +495,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a spec list")
 		return
 	}
+	body, ok := readRequest(w, r, maxBatchBytes)
+	if !ok {
+		return
+	}
 	var req BatchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad batch: "+err.Error())
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"netcache"
+	"netcache/internal/cluster"
 )
 
 // echoRun is a RunFunc that simulates nothing: its Result carries the
@@ -151,18 +152,47 @@ func TestSpecTableLongBodyNotRemembered(t *testing.T) {
 	}
 }
 
-// TestRunBodyOverCap: a /v1/run body over 1 MiB is refused with 413, as the
-// transfer endpoints refuse theirs, even if a whole spec precedes the cap;
-// one of exactly 1 MiB is served.
+// TestRunBodyOverCap: a body over its endpoint's cap — 1 MiB for /v1/run
+// and /v1/cluster/membership, 16 MiB for /v1/batch — is refused with 413,
+// as the transfer endpoints refuse theirs, even if a whole request
+// precedes the cap; one of exactly the cap is served.
 func TestRunBodyOverCap(t *testing.T) {
 	var sims atomic.Int32
 	h := newServer(t, Config{Workers: 1, RunFunc: echoRun(&sims)}).Handler()
-	spec := `{"App":"sor","System":"netcache","Scale":0.05}`
-	if rec := post(h, spec+strings.Repeat(" ", maxRunBytes-len(spec))); rec.Code != http.StatusOK {
-		t.Fatalf("1 MiB body: status %d: %s", rec.Code, rec.Body)
+	// Membership requests need a ring: one node, never dialled.
+	const self = "http://127.0.0.1:1"
+	cl, err := cluster.New(cluster.Config{Self: self, Peers: []string{self}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rec := post(h, spec+strings.Repeat(" ", maxRunBytes)); rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("body over 1 MiB: status %d, want 413: %s", rec.Code, rec.Body)
+	clustered := newServer(t, Config{Workers: 1, RunFunc: echoRun(&sims), Cluster: cl}).Handler()
+	m := cl.Membership()
+	adopt, err := json.Marshal(MembershipRequest{Action: membershipActionAdopt, Membership: &m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := `{"App":"sor","System":"netcache","Scale":0.05}`
+	for _, tc := range []struct {
+		h    http.Handler
+		path string
+		max  int
+		body string
+	}{
+		{h, "/v1/run", maxRunBytes, spec},
+		{h, "/v1/batch", maxBatchBytes, `{"specs":[` + spec + `]}`},
+		{clustered, "/v1/cluster/membership", maxMembershipBytes, string(adopt)},
+	} {
+		send := func(body string) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(body)))
+			return rec
+		}
+		if rec := send(tc.body + strings.Repeat(" ", tc.max-len(tc.body))); rec.Code != http.StatusOK {
+			t.Fatalf("%s: body of exactly %d bytes: status %d: %s", tc.path, tc.max, rec.Code, rec.Body)
+		}
+		if rec := send(tc.body + strings.Repeat(" ", tc.max)); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: body over %d bytes: status %d, want 413: %s", tc.path, tc.max, rec.Code, rec.Body)
+		}
 	}
 }
 

@@ -154,6 +154,12 @@ func (s *Server) readTransfer(w http.ResponseWriter, r *http.Request, max int64)
 		writeError(w, http.StatusNotImplemented, "no store configured")
 		return nil, false
 	}
+	return readRequest(w, r, max)
+}
+
+// readRequest reads a request body of at most max bytes, answering 413
+// for a longer one and 400 for a failed read itself.
+func readRequest(w http.ResponseWriter, r *http.Request, max int64) ([]byte, bool) {
 	body, err := readCapped(r.Body, r.ContentLength, max)
 	switch {
 	case errors.Is(err, errBodyTooLarge):

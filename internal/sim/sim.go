@@ -137,26 +137,11 @@ func NewEngine(n int) *Engine {
 // Now returns the current global simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// MaxClock returns the run's wall-clock envelope: the maximum of the global
-// clock and every processor's local clock. Fast-path and functional-warmup
-// execution let a processor's clock run ahead of fired events, so the
-// envelope — not Now — is the meaningful "time so far" when measurement
-// checkpoints are taken from app context.
-func (e *Engine) MaxClock() Time {
-	t := e.now
-	for _, p := range e.procs {
-		if p.clock > t {
-			t = p.clock
-		}
-	}
-	return t
-}
-
 // SumClock returns the sum of every processor's local clock: P times the
-// machine's average per-processor progress. Unlike MaxClock it is immune to
-// the clock skew functional-warmup bursts create (one processor running far
-// ahead while the rest are parked), so deltas of SumClock are the robust
-// cycle measure for sampled-execution intervals.
+// machine's average per-processor progress. Unlike the largest processor
+// clock it is immune to the skew functional-warmup bursts create (one
+// processor running far ahead while the rest are parked), so deltas of
+// SumClock are the robust cycle measure for sampled-execution intervals.
 func (e *Engine) SumClock() Time {
 	var t Time
 	for _, p := range e.procs {

@@ -25,7 +25,7 @@ func TestChaosStoreRecompute(t *testing.T) {
 	inj.Set(faults.StoreRename, 0.05)
 
 	dir := t.TempDir()
-	s, err := OpenFS(dir, 0, NewFaultFS(inj))
+	s, err := OpenOptions(dir, Options{FS: NewFaultFS(inj)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestChaosStoreEvictionBound(t *testing.T) {
 	val := bytes.Repeat([]byte("e"), 256)
 	entryBytes := int64(headerSize + len(val))
 	maxBytes := 4 * entryBytes
-	s, err := OpenFS(t.TempDir(), maxBytes, NewFaultFS(inj))
+	s, err := OpenOptions(t.TempDir(), Options{MaxBytes: maxBytes, FS: NewFaultFS(inj)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // coldDir is the subdirectory (under the store root) holding segment files.
@@ -21,11 +20,9 @@ const segSuffix = ".seg"
 // tombstones in later segments), and dead space is reclaimed by rewriting
 // the survivors into a fresh segment.
 type segment struct {
-	id        uint64
 	size      int64 // file size on disk
 	dataBytes int64 // record + index bytes (size - header - trailer)
 	liveBytes int64 // record + index bytes owned by live records
-	liveCount int
 }
 
 // coldRef locates a key's live record.
@@ -40,9 +37,8 @@ type coldRef struct {
 // or, when a footer fails validation, salvaged by a forward scan.
 // PutBatch writes one segment per call.
 type coldTier struct {
-	dir      string // <store>/cold
-	fsys     FS
-	compress bool
+	dir  string // <store>/cold
+	fsys FS
 
 	mu     sync.Mutex
 	segs   map[uint64]*segment
@@ -66,11 +62,10 @@ type coldTier struct {
 // simply risk (harmless, byte-identical) resurrection on reopen.
 const maxPendingTombs = 16384
 
-func newColdTier(storeDir string, fsys FS, compress bool) *coldTier {
+func newColdTier(storeDir string, fsys FS) *coldTier {
 	return &coldTier{
 		dir:          filepath.Join(storeDir, coldDir),
 		fsys:         fsys,
-		compress:     compress,
 		segs:         make(map[uint64]*segment),
 		index:        make(map[string]coldRef),
 		pendingTombs: make(map[string]struct{}),
@@ -94,26 +89,13 @@ func (c *coldTier) open() error {
 		}
 		return err
 	}
+	// A seg-*.tmp is a compactor that died before rename; its batch is
+	// still in the hot tier (or recomputable).
+	c.reaped = reapTemps(c.dir, ents, segTempPattern)
 	var ids []uint64
 	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
 		name := e.Name()
-		if ok, _ := filepath.Match(segTempPattern, name); ok {
-			// A seg-*.tmp is a compactor that died before rename; its batch
-			// is still fully present in the hot tier (or recomputable), so
-			// the temp is pure garbage once old enough to not be live.
-			info, err := e.Info()
-			if err != nil || time.Since(info.ModTime()) < tempMaxAge {
-				continue
-			}
-			if os.Remove(filepath.Join(c.dir, name)) == nil {
-				c.reaped++
-			}
-			continue
-		}
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, segSuffix) {
+		if e.IsDir() || !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, segSuffix) {
 			continue
 		}
 		id, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), segSuffix), 10, 64)
@@ -152,20 +134,21 @@ func (c *coldTier) openSegment(id uint64) {
 		}
 		if len(recs) == 0 {
 			// Nothing recoverable — preserve the evidence out of band.
-			qdir := filepath.Join(c.dir, "..", quarantineDir)
-			if os.MkdirAll(qdir, 0o755) == nil &&
-				c.fsys.Rename(path, filepath.Join(qdir, filepath.Base(path))) == nil {
+			if q, err := quarantinePath(filepath.Dir(c.dir), path, -1); err == nil && c.fsys.Rename(path, q) == nil {
 				c.quarantined++
 			}
 			return
 		}
 		c.salvaged++
 	}
-	seg := &segment{id: id, size: size, dataBytes: size - segHeaderSize - segTrailerSize}
-	if seg.dataBytes < 0 {
-		seg.dataBytes = 0
-	}
-	c.segs[id] = seg
+	c.indexLocked(id, size, recs)
+}
+
+// indexLocked enters segment id, size bytes on disk, and replays its
+// records into the tier index. Caller holds mu (or is single-threaded
+// during open).
+func (c *coldTier) indexLocked(id uint64, size int64, recs []segRecord) {
+	c.segs[id] = &segment{size: size, dataBytes: max(size-segHeaderSize-segTrailerSize, 0)}
 	for _, rec := range recs {
 		c.replayLocked(id, rec)
 	}
@@ -176,8 +159,7 @@ func (c *coldTier) openSegment(id uint64) {
 // mu (or is single-threaded during open).
 func (c *coldTier) replayLocked(id uint64, rec segRecord) {
 	if prev, ok := c.index[rec.key]; ok {
-		c.markDeadLocked(prev)
-		delete(c.index, rec.key)
+		c.killLocked(prev)
 	}
 	if rec.tombstone() {
 		return
@@ -189,14 +171,15 @@ func (c *coldTier) replayLocked(id uint64, rec segRecord) {
 	c.index[rec.key] = coldRef{segID: id, rec: rec}
 	if seg := c.segs[id]; seg != nil {
 		seg.liveBytes += rec.diskSize() + idxEntrySize
-		seg.liveCount++
 	}
 }
 
-func (c *coldTier) markDeadLocked(ref coldRef) {
+// killLocked drops ref's record from the index; its bytes turn dead in
+// their segment.
+func (c *coldTier) killLocked(ref coldRef) {
+	delete(c.index, ref.rec.key)
 	if seg := c.segs[ref.segID]; seg != nil {
 		seg.liveBytes -= ref.rec.diskSize() + idxEntrySize
-		seg.liveCount--
 	}
 }
 
@@ -208,32 +191,37 @@ func (c *coldTier) lookup(key string) (coldRef, bool) {
 	return ref, ok
 }
 
-// Get is a random-access read of the key's record, verified against the
-// index entry and its CRC. A corrupt record is dead-marked so the engine's
-// recompute lands cleanly; an I/O failure leaves the record in place (the
-// next read may succeed).
+// Get reads key's live record.
 func (c *coldTier) Get(key string) ([]byte, error) {
 	ref, ok := c.lookup(key)
 	if !ok {
 		return nil, ErrNotFound
 	}
+	payload, _, err := c.read(ref)
+	return payload, err
+}
+
+// read reads ref's record through the FS seam and verifies it against the
+// index entry and its CRC. An I/O failure is ErrNotFound and leaves the
+// record live: the next read may succeed. A record that fails verification
+// is ErrCorrupt and is retired — dead-marked, so a recompute lands cleanly
+// — unless the index has moved on from ref (a concurrent rewrite re-homed
+// the key). bad holds the bytes read when this call retired the record.
+func (c *coldTier) read(ref coldRef) (payload, bad []byte, err error) {
 	raw, err := c.fsys.ReadRange(c.segPath(ref.segID), ref.rec.off, ref.rec.diskSize())
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotFound, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrNotFound, err)
 	}
-	payload, err := decodeRecord(ref.rec, raw)
-	if err != nil {
-		c.mu.Lock()
-		// Only dead-mark if the index still points at the same record; a
-		// concurrent rewrite may have re-homed the key.
-		if cur, ok := c.index[key]; ok && cur == ref {
-			c.markDeadLocked(cur)
-			delete(c.index, key)
-		}
-		c.mu.Unlock()
-		return nil, ErrCorrupt
+	if payload, err = decodeRecord(ref.rec, raw); err == nil {
+		return payload, nil, nil
 	}
-	return payload, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur, ok := c.index[ref.rec.key]; !ok || cur != ref {
+		return nil, nil, ErrCorrupt
+	}
+	c.killLocked(ref)
+	return nil, raw, ErrCorrupt
 }
 
 // PutBatch packs entries (plus any pending tombstones) into one new
@@ -263,7 +251,7 @@ func (c *coldTier) PutBatch(entries []segEntry) error {
 	sort.Slice(tombs, func(i, j int) bool { return tombs[i].key < tombs[j].key })
 	c.mu.Unlock()
 
-	img, recs, err := encodeSegment(append(tombs, entries...), c.compress)
+	img, recs, err := encodeSegment(append(tombs, entries...))
 	if err != nil {
 		return err
 	}
@@ -296,11 +284,7 @@ func (c *coldTier) PutBatch(entries []segEntry) error {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	seg := &segment{id: id, size: info.Size(), dataBytes: info.Size() - segHeaderSize - segTrailerSize}
-	c.segs[id] = seg
-	for _, rec := range recs {
-		c.replayLocked(id, rec)
-	}
+	c.indexLocked(id, info.Size(), recs)
 	for _, t := range tombs {
 		delete(c.pendingTombs, t.key) // now durable in this segment
 	}
@@ -316,8 +300,7 @@ func (c *coldTier) Delete(key string) bool {
 	if !ok {
 		return false
 	}
-	c.markDeadLocked(ref)
-	delete(c.index, key)
+	c.killLocked(ref)
 	if len(c.pendingTombs) < maxPendingTombs {
 		c.pendingTombs[key] = struct{}{}
 	}
@@ -406,14 +389,13 @@ func (c *coldTier) oldestSegment() (uint64, bool) {
 }
 
 // dropSegment evicts one whole segment: every live record in it is evicted
-// (recomputable on demand), the file removed. Returns freed disk bytes and
-// how many live entries were evicted.
-func (c *coldTier) dropSegment(id uint64) (freed int64, evicted int) {
+// (recomputable on demand), the file removed. Returns how many live
+// entries were evicted.
+func (c *coldTier) dropSegment(id uint64) (evicted int) {
 	c.mu.Lock()
-	seg, ok := c.segs[id]
-	if !ok {
+	if _, ok := c.segs[id]; !ok {
 		c.mu.Unlock()
-		return 0, 0
+		return 0
 	}
 	for key, ref := range c.index {
 		if ref.segID == id {
@@ -424,18 +406,16 @@ func (c *coldTier) dropSegment(id uint64) (freed int64, evicted int) {
 		}
 	}
 	delete(c.segs, id)
-	freed = seg.size
-	path := c.segPath(id)
 	c.mu.Unlock()
-	c.fsys.Remove(path)
-	return freed, evicted
+	c.fsys.Remove(c.segPath(id))
+	return evicted
 }
 
 // rewrite compacts one segment: its live records are re-read, re-packed
 // into a fresh segment via PutBatch, and the old file removed. A fully-dead
 // segment is simply dropped. Records that fail their read or CRC during the
-// rewrite are dead-marked and skipped — the damage stays behind in the old
-// segment's grave, not copied forward.
+// rewrite are skipped — the damage stays behind in the old segment's
+// grave, not copied forward.
 //
 // Concurrency: a key deleted (e.g. promoted to hot) between the snapshot
 // and the install is briefly resurrected by the replay — harmless, because
@@ -444,21 +424,9 @@ func (c *coldTier) rewrite(id uint64) error {
 	refs := c.liveRefs(id)
 	entries := make([]segEntry, 0, len(refs))
 	for _, ref := range refs {
-		raw, err := c.fsys.ReadRange(c.segPath(id), ref.rec.off, ref.rec.diskSize())
-		if err != nil {
-			continue // unreadable now; leave it dead-marked by the next Get
+		if payload, _, err := c.read(ref); err == nil {
+			entries = append(entries, segEntry{key: ref.rec.key, value: payload})
 		}
-		payload, err := decodeRecord(ref.rec, raw)
-		if err != nil {
-			c.mu.Lock()
-			if cur, ok := c.index[ref.rec.key]; ok && cur == ref {
-				c.markDeadLocked(cur)
-				delete(c.index, ref.rec.key)
-			}
-			c.mu.Unlock()
-			continue
-		}
-		entries = append(entries, segEntry{key: ref.rec.key, value: payload})
 	}
 	if len(entries) > 0 {
 		if err := c.PutBatch(entries); err != nil {

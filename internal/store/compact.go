@@ -1,15 +1,14 @@
 package store
 
-import (
-	"context"
-	"time"
-
-	"netcache/internal/loop"
-)
+import "time"
 
 // rewriteLiveFrac: a segment whose record region is less than this fraction
 // live is sparse enough to be worth rewriting.
 const rewriteLiveFrac = 0.5
+
+// segmentTarget is the migration batch: about this much uncompressed entry
+// data goes into each new segment.
+const segmentTarget = 4 << 20
 
 // Compact runs one compaction pass: migrate aged-out hot entries into cold
 // segments, rewrite sparse segments to reclaim dead space, then re-enforce
@@ -18,7 +17,20 @@ const rewriteLiveFrac = 0.5
 // work tier-side and runs concurrently with serving traffic.
 func (s *Store) Compact() (migrated, rewritten int) {
 	migrated = s.migrate()
+	rewritten = s.reclaim(func() bool { return false })
+	s.enforceBudget("")
+	s.count(&s.st.Compactions)
+	return migrated, rewritten
+}
+
+// reclaim rewrites sparse segments, sparsest first, until enough reports
+// true or a rewrite fails, and returns how many it rewrote. A compaction
+// pass rewrites them all; the budget stops once the store fits.
+func (s *Store) reclaim(enough func() bool) (rewritten int) {
 	for _, id := range s.cold.sparseSegments(rewriteLiveFrac) {
+		if enough() {
+			break
+		}
 		if err := s.cold.rewrite(id); err != nil {
 			s.count(&s.st.CompactErrors)
 			break
@@ -26,19 +38,17 @@ func (s *Store) Compact() (migrated, rewritten int) {
 		rewritten++
 		s.count(&s.st.SegmentRewrites)
 	}
-	s.enforceBudget("")
-	s.count(&s.st.Compactions)
-	return migrated, rewritten
+	return rewritten
 }
 
 // migrate packs hot entries that aged past ColdAge (plus the oldest
-// overflow beyond HotMaxBytes) into cold segments, batched near
-// SegmentTargetBytes of entry data per segment, and removes the hot files
+// overflow beyond a quarter of MaxBytes) into cold segments, batched near
+// segmentTarget bytes of entry data per segment, and removes the hot files
 // only after the segment is installed and verified. A failed batch leaves
 // its entries in the hot tier — migration can lose a fault race, never
 // data.
 func (s *Store) migrate() (migrated int) {
-	vics := s.hot.victims(time.Now().Add(-s.opt.ColdAge), s.opt.HotMaxBytes)
+	vics := s.hot.victims(time.Now().Add(-s.opt.ColdAge), s.opt.MaxBytes/4)
 	if len(vics) == 0 {
 		return 0
 	}
@@ -71,7 +81,7 @@ func (s *Store) migrate() (migrated int) {
 		}
 		batch = append(batch, segEntry{key: v.key, value: payload})
 		batchBytes += int64(len(payload))
-		if batchBytes >= s.opt.SegmentTargetBytes {
+		if batchBytes >= segmentTarget {
 			flush()
 		}
 	}
@@ -83,12 +93,5 @@ func (s *Store) migrate() (migrated int) {
 // daemons sharing a filesystem don't compact in lockstep) on a background
 // loop until Close. A second call replaces the previous compactor.
 func (s *Store) StartCompactor(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	s.mu.Lock()
-	prev := s.compactor
-	s.compactor = loop.Start(interval, func(context.Context) { s.Compact() })
-	s.mu.Unlock()
-	prev.Stop()
+	s.startLoop(&s.compactor, interval, func() { s.Compact() })
 }

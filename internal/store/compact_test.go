@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,15 +80,14 @@ func TestCompactMigratesAndServesBothTiers(t *testing.T) {
 }
 
 func TestCompactSegmentTargetBoundsBatches(t *testing.T) {
-	opt := coldOpts()
-	opt.SegmentTargetBytes = 4 << 10
-	s, err := OpenOptions(t.TempDir(), opt)
+	s, err := OpenOptions(t.TempDir(), coldOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		// Incompressible-ish sizes irrelevant: batching is by uncompressed bytes.
-		if err := s.Put(keyOf(fmt.Sprintf("batch-%d", i)), bytes.Repeat([]byte{byte(i)}, 1<<10)); err != nil {
+		// Entries a quarter of the target each: 4 per segment. Compressed
+		// sizes are irrelevant: batching is by uncompressed bytes.
+		if err := s.Put(keyOf(fmt.Sprintf("batch-%d", i)), bytes.Repeat([]byte{byte(i)}, segmentTarget/4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func TestCompactSegmentTargetBoundsBatches(t *testing.T) {
 	s.Compact()
 	st := s.Stats()
 	if st.Segments < 3 {
-		t.Fatalf("16 KiB of entries with a 4 KiB target packed into %d segments", st.Segments)
+		t.Fatalf("16 entries of a quarter segment target each packed into %d segments", st.Segments)
 	}
 	if st.ColdEntries != 16 {
 		t.Fatalf("cold entries = %d, want 16", st.ColdEntries)
@@ -142,6 +142,59 @@ func TestOldStoreMigratesTransparently(t *testing.T) {
 			t.Fatalf("reopened migrated value %s wrong", key)
 		}
 	}
+}
+
+// TestCompatStoreServesSameBytes opens testdata/compat-store, a store
+// directory written before the cold tier's codec stopped being a setting:
+// two hot entries, a segment whose compressible records were stored raw
+// (the old "none" codec), and a segment of deflated records that also
+// carries a tombstone for a raw record. Every live key must serve its
+// bytes, and the tombstoned one must stay gone.
+func TestCompatStoreServesSameBytes(t *testing.T) {
+	value := func(name string) []byte {
+		return bytes.Repeat([]byte(fmt.Sprintf("result of %s; ", name)), 24)
+	}
+	dir, src := t.TempDir(), filepath.Join("testdata", "compat-store")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.HotEntries != 2 || st.ColdEntries != 4 || st.Segments != 2 || st.SalvagedSegments != 0 {
+		t.Fatalf("compat store opened as %+v", st)
+	}
+	for name, deflated := range map[string]bool{"raw-1": false, "raw-2": false, "flate-1": true, "flate-2": true} {
+		ref, ok := s.cold.lookup(keyOf(name))
+		if !ok || (ref.rec.flags&recFlate != 0) != deflated {
+			t.Fatalf("%s: cold record %v, flags %#x", name, ok, ref.rec.flags)
+		}
+	}
+	for _, name := range []string{"hot-1", "hot-2", "raw-1", "raw-2", "flate-1", "flate-2"} {
+		if got, ok := s.Get(keyOf(name)); !ok || !bytes.Equal(got, value(name)) {
+			t.Fatalf("%s: Get = %q, %v", name, got, ok)
+		}
+	}
+	if _, ok := s.Get(keyOf("deleted")); ok {
+		t.Fatal("tombstoned key served")
+	}
+	checkAccounting(t, s)
 }
 
 // TestCrashMidCompactionRecovery simulates the two crash windows of a
@@ -392,7 +445,7 @@ func TestSegmentRewriteReclaimsDeadSpace(t *testing.T) {
 // segment write has carried its tombstone.
 func TestTombstoneDurability(t *testing.T) {
 	dir := t.TempDir()
-	c := newColdTier(dir, osFS{}, true)
+	c := newColdTier(dir, osFS{})
 	a, b, d := keyOf("tomb-a"), keyOf("tomb-b"), keyOf("tomb-c")
 	if err := c.PutBatch([]segEntry{
 		{key: a, value: []byte("value a")},
@@ -407,7 +460,7 @@ func TestTombstoneDurability(t *testing.T) {
 	if err := c.PutBatch([]segEntry{{key: d, value: []byte("value c")}}); err != nil {
 		t.Fatal(err)
 	}
-	c2 := newColdTier(dir, osFS{}, true)
+	c2 := newColdTier(dir, osFS{})
 	if err := c2.open(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,16 +12,16 @@ import (
 // and require the read side to fail with ErrCorrupt or salvage a valid
 // prefix — never panic, never return wrong bytes.
 func FuzzSegmentRoundTrip(f *testing.F) {
-	f.Add([]byte("hello"), []byte(""), true, uint16(0), uint16(0))
-	f.Add([]byte{0xff, 0x00, 0xff}, bytes.Repeat([]byte("ab"), 512), false, uint16(7), uint16(3))
-	f.Add(bytes.Repeat([]byte{0}, 4096), []byte("x"), true, uint16(999), uint16(255))
-	f.Fuzz(func(t *testing.T, v1, v2 []byte, compress bool, cut, flip uint16) {
+	f.Add([]byte("hello"), []byte(""), uint16(0), uint16(0))
+	f.Add([]byte{0xff, 0x00, 0xff}, bytes.Repeat([]byte("ab"), 512), uint16(7), uint16(3))
+	f.Add(bytes.Repeat([]byte{0}, 4096), []byte("x"), uint16(999), uint16(255))
+	f.Fuzz(func(t *testing.T, v1, v2 []byte, cut, flip uint16) {
 		entries := []segEntry{
 			{key: keyOf("fuzz-1"), value: v1},
 			{key: keyOf("fuzz-2"), value: v2},
 			{key: keyOf("fuzz-del"), tomb: true},
 		}
-		img, recs, err := encodeSegment(entries, compress)
+		img, recs, err := encodeSegment(entries)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}

@@ -6,7 +6,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -36,42 +36,42 @@ type hotTier struct {
 
 func (h *hotTier) path(key string) string { return filepath.Join(h.dir, key+suffix) }
 
-// scan counts resident entries and reaps stale put-* temp files (crash
-// leftovers older than tempMaxAge). Temp files and subdirectories
-// (quarantine/, cold/) are never counted: the LRU budget tracks only live
-// entry files.
-func (h *hotTier) scan() (reaped int) {
-	ents, err := os.ReadDir(h.dir)
-	if err != nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// hotFile is one hot-tier entry in a listing of the store root.
+type hotFile struct {
+	key string
+	os.DirEntry
+}
+
+// list reads the store root once and returns the hot tier's entries in
+// key order, then the rest of the listing. An entry is exactly a regular
+// file named <valid key>.res: quarantine/, cold/, temps and stray files
+// are never counted, listed or evicted. A failed read lists what it got.
+func (h *hotTier) list() (files []hotFile, others []os.DirEntry) {
+	ents, _ := os.ReadDir(h.dir)
+	files = make([]hotFile, 0, len(ents))
 	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), suffix) {
-			if info, err := e.Info(); err == nil {
-				h.size += info.Size()
-				h.count++
-			}
-			continue
-		}
-		// A put-* temp file is a writer that died between write and rename.
-		// It will never be renamed, counted, or evicted — reap it once it is
-		// old enough that it cannot belong to a live Put.
-		if ok, _ := filepath.Match(tempPattern, e.Name()); ok {
-			info, err := e.Info()
-			if err != nil || time.Since(info.ModTime()) < tempMaxAge {
-				continue
-			}
-			if os.Remove(filepath.Join(h.dir, e.Name())) == nil {
-				reaped++
-			}
+		if key, ok := strings.CutSuffix(e.Name(), suffix); ok && e.Type().IsRegular() && ValidKey(key) {
+			files = append(files, hotFile{key, e})
+		} else {
+			others = append(others, e)
 		}
 	}
-	return reaped
+	return files, others
+}
+
+// scan counts resident entries, returning them, and reaps stale put-*
+// temps.
+func (h *hotTier) scan() (files []hotFile, reaped int) {
+	files, others := h.list()
+	h.mu.Lock()
+	for _, f := range files {
+		if info, err := f.Info(); err == nil {
+			h.size += info.Size()
+			h.count++
+		}
+	}
+	h.mu.Unlock()
+	return files, reapTemps(h.dir, others, tempPattern)
 }
 
 // get returns the entry's payload. touch refreshes the entry's mtime (the
@@ -86,9 +86,7 @@ func (h *hotTier) get(key string, touch bool) ([]byte, error) {
 	}
 	payload, ok := decode(b)
 	if !ok {
-		h.mu.Lock()
-		h.dropLocked(key)
-		h.mu.Unlock()
+		h.Delete(key)
 		return nil, ErrCorrupt
 	}
 	if touch {
@@ -186,31 +184,15 @@ type hotEntry struct {
 
 // scanLRU lists resident entries oldest-mtime first.
 func (h *hotTier) scanLRU() []hotEntry {
-	ents, err := os.ReadDir(h.dir)
-	if err != nil {
-		return nil
+	files, _ := h.list()
+	all := make([]hotEntry, 0, len(files))
+	for _, f := range files {
+		if info, err := f.Info(); err == nil {
+			all = append(all, hotEntry{f.key, info.Size(), info.ModTime()})
+		}
 	}
-	var all []hotEntry
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), suffix) {
-			continue
-		}
-		key := strings.TrimSuffix(e.Name(), suffix)
-		if !ValidKey(key) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		all = append(all, hotEntry{key, info.Size(), info.ModTime()})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if !all[i].mtime.Equal(all[j].mtime) {
-			return all[i].mtime.Before(all[j].mtime)
-		}
-		return all[i].key < all[j].key
-	})
+	// Keys arrive sorted, so the stable sort breaks mtime ties by key.
+	slices.SortStableFunc(all, func(a, b hotEntry) int { return a.mtime.Compare(b.mtime) })
 	return all
 }
 
@@ -259,12 +241,18 @@ func (h *hotTier) victims(cutoff time.Time, maxResident int64) []hotEntry {
 	return out
 }
 
-// quarantine moves key's entry into quarantineDir, preserving the bytes for
-// forensics. The caller has already determined the entry is corrupt; the
-// move is re-verified under mu so a concurrent rewrite cannot get a fresh
+// quarantine validates key's entry and, if it is corrupt, moves it into
+// quarantineDir, preserving the bytes for forensics. The first read runs
+// unlocked; a failure is re-checked under mu (serialized with put's
+// rename), so a concurrent rewrite racing the read cannot get a fresh
 // valid entry quarantined.
 func (h *hotTier) quarantine(key string) bool {
 	path := h.path(key)
+	if b, err := h.fsys.ReadFile(path); err == nil {
+		if _, ok := decode(b); ok {
+			return false
+		}
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	b, err := h.fsys.ReadFile(path)
@@ -278,11 +266,8 @@ func (h *hotTier) quarantine(key string) bool {
 	if err != nil {
 		return false
 	}
-	qdir := filepath.Join(h.dir, quarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return false
-	}
-	if err := h.fsys.Rename(path, filepath.Join(qdir, key+suffix)); err != nil {
+	q, err := quarantinePath(h.dir, path, -1)
+	if err != nil || h.fsys.Rename(path, q) != nil {
 		return false
 	}
 	h.size -= info.Size()

@@ -1,10 +1,6 @@
 package store
 
-import (
-	"os"
-	"slices"
-	"strings"
-)
+import "slices"
 
 // Rebalance support: key enumeration.
 //
@@ -23,14 +19,11 @@ import (
 // may or may not be reflected — acceptable for the rebalance walk, whose
 // next pass lists again.
 func (s *Store) Keys() []string {
-	// Sorted by name, so hot keys arrive sorted. A failed read lists what
-	// it got; the next walk lists again.
-	ents, _ := os.ReadDir(s.dir)
-	out := make([]string, 0, len(ents))
-	for _, e := range ents {
-		if key, ok := strings.CutSuffix(e.Name(), suffix); ok && !e.IsDir() && ValidKey(key) {
-			out = append(out, key)
-		}
+	// The listing is sorted by name, so hot keys arrive sorted.
+	files, _ := s.hot.list()
+	out := make([]string, 0, len(files))
+	for _, f := range files {
+		out = append(out, f.key)
 	}
 	hot := len(out)
 	s.cold.mu.Lock()

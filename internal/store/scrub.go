@@ -1,13 +1,8 @@
 package store
 
 import (
-	"context"
-	"fmt"
 	"os"
-	"path/filepath"
 	"time"
-
-	"netcache/internal/loop"
 )
 
 // Scrub revalidates checksums in both tiers and quarantines what fails:
@@ -32,33 +27,21 @@ func (s *Store) Scrub() (checked, quarantined int) {
 }
 
 func (s *Store) scrubHot() (checked, quarantined int) {
-	for _, e := range s.hot.scanLRU() {
+	files, _ := s.hot.list()
+	for _, f := range files {
 		checked++
-		if s.scrubHotOne(e.key) {
+		if s.hot.quarantine(f.key) {
 			quarantined++
 		}
 	}
 	return checked, quarantined
 }
 
-// scrubHotOne validates one hot entry, quarantining it if corrupt. The
-// first read runs unlocked; a failure is re-checked under the tier lock
-// (serialized with put's rename) so a concurrent rewrite racing the read
-// cannot get a fresh valid entry quarantined.
-func (s *Store) scrubHotOne(key string) bool {
-	b, err := s.hot.fsys.ReadFile(s.hot.path(key))
-	if err == nil {
-		if _, ok := decode(b); ok {
-			return false
-		}
-	}
-	return s.hot.quarantine(key)
-}
-
 // scrubCold CRC-checks every live record of every segment. A record that
-// fails has exactly its byte range copied to quarantine/ and is
-// dead-marked; injected or transient read errors are skipped, not
-// quarantined (the bytes on disk may be fine).
+// fails is dead-marked and has exactly its byte range copied to
+// quarantine/: segment files are shared by many keys, so the healthy
+// neighbors must stay serveable in place. Injected or transient read
+// errors are skipped, not quarantined (the bytes on disk may be fine).
 func (s *Store) scrubCold() (checked, quarantined int) {
 	s.cold.mu.Lock()
 	ids := make([]uint64, 0, len(s.cold.segs))
@@ -69,53 +52,22 @@ func (s *Store) scrubCold() (checked, quarantined int) {
 	for _, id := range ids {
 		for _, ref := range s.cold.liveRefs(id) {
 			checked++
-			if s.scrubColdOne(ref) {
-				quarantined++
+			_, bad, _ := s.cold.read(ref)
+			if bad == nil {
+				continue // healthy, unreadable now, or re-homed by a rewrite
+			}
+			quarantined++
+			if q, err := quarantinePath(s.dir, s.cold.segPath(ref.segID), ref.rec.off); err == nil {
+				_ = os.WriteFile(q, bad, 0o644) // evidence only: the record is retired either way
 			}
 		}
 	}
 	return checked, quarantined
 }
 
-func (s *Store) scrubColdOne(ref coldRef) bool {
-	path := s.cold.segPath(ref.segID)
-	raw, err := s.cold.fsys.ReadRange(path, ref.rec.off, ref.rec.diskSize())
-	if err != nil {
-		return false // unreadable now ≠ corrupt on disk; leave it for Get to adjudicate
-	}
-	if _, err := decodeRecord(ref.rec, raw); err == nil {
-		return false
-	}
-	s.cold.mu.Lock()
-	cur, ok := s.cold.index[ref.rec.key]
-	if !ok || cur != ref {
-		s.cold.mu.Unlock()
-		return false // re-homed by a rewrite while we were looking
-	}
-	s.cold.markDeadLocked(cur)
-	delete(s.cold.index, ref.rec.key)
-	s.cold.mu.Unlock()
-	// Quarantine only the damaged region: segment files are shared by many
-	// keys, so the healthy neighbors must stay serveable in place.
-	qdir := filepath.Join(s.dir, quarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return true
-	}
-	name := fmt.Sprintf("%s@%d.bad", filepath.Base(path), ref.rec.off)
-	_ = os.WriteFile(filepath.Join(qdir, name), raw, 0o644)
-	return true
-}
-
 // StartScrubber runs Scrub about every interval (jittered ±25%, like the
 // compactor, so fleets desynchronize) on a background loop until Close. A
 // second call replaces the previous scrubber.
 func (s *Store) StartScrubber(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	s.mu.Lock()
-	prev := s.scrubber
-	s.scrubber = loop.Start(interval, func(context.Context) { s.Scrub() })
-	s.mu.Unlock()
-	prev.Stop()
+	s.startLoop(&s.scrubber, interval, func() { s.Scrub() })
 }

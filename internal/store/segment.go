@@ -89,10 +89,10 @@ type segEntry struct {
 }
 
 // encodeSegment packs entries into a complete segment image (records,
-// index, trailer) and returns it with the per-record index. compress
-// enables per-record DEFLATE; a record is stored compressed only when that
-// actually shrinks it, so the flag is per-record, not per-segment.
-func encodeSegment(entries []segEntry, compress bool) ([]byte, []segRecord, error) {
+// index, trailer) and returns it with the per-record index. A record is
+// stored DEFLATE-compressed only when that actually shrinks it, so the
+// flag is per-record, not per-segment.
+func encodeSegment(entries []segEntry) ([]byte, []segRecord, error) {
 	var buf bytes.Buffer
 	buf.Write(segMagic)
 	recs := make([]segRecord, 0, len(entries))
@@ -107,7 +107,7 @@ func encodeSegment(entries []segEntry, compress bool) ([]byte, []segRecord, erro
 		case e.tomb:
 			flags = recTombstone
 			data = nil
-		case compress && len(e.value) > 0:
+		case len(e.value) > 0:
 			if c, ok := deflate(e.value); ok {
 				flags = recFlate
 				data = c

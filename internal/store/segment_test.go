@@ -29,17 +29,42 @@ func segEntries(n int) []segEntry {
 	return out
 }
 
+// noise is n bytes that DEFLATE cannot shrink.
+func noise(n int, seed uint64) []byte {
+	b := make([]byte, n)
+	x := seed
+	for i := range b {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		b[i] = byte(x)
+	}
+	return b
+}
+
 func TestSegmentRoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		entries := segEntries(7)
-		entries = append(entries, segEntry{key: keyOf("a tombstone"), tomb: true})
-		img, recs, err := encodeSegment(entries, compress)
+	// Compressible values are stored deflated, noise raw.
+	raw := make([]segEntry, 7)
+	for i := range raw {
+		raw[i] = segEntry{key: keyOf(fmt.Sprintf("raw-entry-%d", i)), value: noise(64+i*17, uint64(i+1))}
+	}
+	for _, stored := range []struct {
+		name    string
+		entries []segEntry
+	}{{"raw", raw}, {"deflated", segEntries(7)}} {
+		entries := append(stored.entries, segEntry{key: keyOf("a tombstone"), tomb: true})
+		img, recs, err := encodeSegment(entries)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for i, rec := range recs[:len(stored.entries)] {
+			if deflated := rec.flags&recFlate != 0; deflated != (stored.name == "deflated") {
+				t.Fatalf("%s record %d: deflate flag %v", stored.name, i, deflated)
+			}
+		}
 		got, err := parseSegmentIndex(int64(len(img)), memRead(img))
 		if err != nil {
-			t.Fatalf("compress=%v: parse: %v", compress, err)
+			t.Fatalf("%s: parse: %v", stored.name, err)
 		}
 		if len(got) != len(entries) {
 			t.Fatalf("parsed %d records, want %d", len(got), len(entries))
@@ -73,7 +98,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 // disk, and incompressible ones must be stored raw (flag clear).
 func TestSegmentCompressionShrinks(t *testing.T) {
 	compressible := segEntry{key: keyOf("zeros"), value: bytes.Repeat([]byte("abcdef"), 2000)}
-	img, recs, err := encodeSegment([]segEntry{compressible}, true)
+	img, recs, err := encodeSegment([]segEntry{compressible})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,15 +114,7 @@ func TestSegmentCompressionShrinks(t *testing.T) {
 	}
 
 	// Random-ish bytes that DEFLATE cannot shrink stay raw.
-	raw := make([]byte, 512)
-	x := uint64(99)
-	for i := range raw {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		raw[i] = byte(x)
-	}
-	_, recs, err = encodeSegment([]segEntry{{key: keyOf("noise"), value: raw}}, true)
+	_, recs, err = encodeSegment([]segEntry{{key: keyOf("noise"), value: noise(512, 99)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +128,7 @@ func TestSegmentCompressionShrinks(t *testing.T) {
 // reports corruption and the scan salvages only the intact record prefix.
 func TestSegmentTruncatedFooter(t *testing.T) {
 	entries := segEntries(5)
-	img, recs, err := encodeSegment(entries, true)
+	img, recs, err := encodeSegment(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +156,7 @@ func TestSegmentTruncatedFooter(t *testing.T) {
 // record pointing outside the data region.
 func TestSegmentIndexCorruption(t *testing.T) {
 	entries := segEntries(4)
-	img, _, err := encodeSegment(entries, false)
+	img, _, err := encodeSegment(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +184,7 @@ func TestSegmentIndexCorruption(t *testing.T) {
 // TestDecodeRecordCorruption: every single-byte corruption of a record's
 // bytes must return ErrCorrupt, never a payload, never a panic.
 func TestDecodeRecordCorruption(t *testing.T) {
-	img, recs, err := encodeSegment(segEntries(1), true)
+	img, recs, err := encodeSegment(segEntries(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,11 @@
 // hot entries go in mtime order. Any read failure in either tier is a miss
 // to be recomputed — corruption is never served and never panics.
 //
+// Crash contract: the store never calls fsync. An acknowledged Put and an
+// installed segment survive a crash of the process, not a power loss: a
+// file the kernel had not yet written back may come back short or empty,
+// and its checksum then makes it a miss to recompute.
+//
 // Crash recovery on open: stale put-* and seg-*.tmp temps are reaped,
 // segment footers re-validated (salvaging what a torn write left valid),
 // and keys resident in both tiers collapse to the hot copy. Every per-entry
@@ -35,10 +40,12 @@
 package store
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -50,10 +57,45 @@ import (
 // never count against the LRU budget.
 const quarantineDir = "quarantine"
 
+// quarantinePath creates root's quarantine/ and names the evidence taken
+// from file there: its base name when the whole file moves (off < 0), and
+// <base>@<off>.bad when only the record at offset off is kept.
+func quarantinePath(root, file string, off int64) (string, error) {
+	qdir := filepath.Join(root, quarantineDir)
+	if err := os.MkdirAll(qdir, 0o755); err != nil {
+		return "", err
+	}
+	name := filepath.Base(file)
+	if off >= 0 {
+		name = fmt.Sprintf("%s@%d.bad", name, off)
+	}
+	return filepath.Join(qdir, name), nil
+}
+
 // tempMaxAge is how old a put-* or seg-*.tmp temp file must be before Open
 // treats it as a crash leftover rather than a concurrent writer's staging
 // file.
 const tempMaxAge = time.Hour
+
+// reapTemps deletes the files among ents, a listing of dir, that match
+// pattern and are older than tempMaxAge: staging files whose writer died
+// before its rename. They would never be renamed, counted or evicted. A
+// younger one may still belong to a live writer and is left alone.
+func reapTemps(dir string, ents []os.DirEntry, pattern string) (reaped int) {
+	for _, e := range ents {
+		if ok, _ := filepath.Match(pattern, e.Name()); !ok || e.IsDir() {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil || time.Since(info.ModTime()) < tempMaxAge {
+			continue
+		}
+		if os.Remove(filepath.Join(dir, e.Name())) == nil {
+			reaped++
+		}
+	}
+	return reaped
+}
 
 // Stats are the store's monotonic counters plus current occupancy.
 type Stats struct {
@@ -90,28 +132,16 @@ type Stats struct {
 	Segments      int   // resident segment files
 }
 
-// Options configures OpenOptions beyond the plain Open/OpenFS signatures.
+// Options configures OpenOptions.
 type Options struct {
 	// MaxBytes bounds the store's total on-disk size across both tiers
-	// (<= 0: unbounded).
+	// (<= 0: unbounded). A quarter of it bounds the hot tier: beyond that,
+	// compaction migrates the oldest entries into cold segments.
 	MaxBytes int64
-
-	// HotMaxBytes bounds the hot tier: beyond it, compaction migrates the
-	// oldest entries into cold segments (<= 0: MaxBytes/4, or unbounded
-	// when MaxBytes is).
-	HotMaxBytes int64
 
 	// ColdAge is how long a hot entry may sit unread before a compaction
 	// pass migrates it to the cold tier (<= 0: 1h).
 	ColdAge time.Duration
-
-	// Compression selects the cold tier's per-record codec: "flate"
-	// (default) or "none".
-	Compression string
-
-	// SegmentTargetBytes is the compactor's per-segment batch target
-	// (<= 0: 4 MiB of uncompressed entry data).
-	SegmentTargetBytes int64
 
 	// FS is the filesystem seam; nil means the real filesystem.
 	FS FS
@@ -122,7 +152,6 @@ type Options struct {
 type Store struct {
 	dir  string
 	opt  Options
-	fsys FS
 	hot  *hotTier
 	cold *coldTier
 
@@ -142,13 +171,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return OpenOptions(dir, Options{MaxBytes: maxBytes})
 }
 
-// OpenFS is Open with an explicit filesystem seam — chaos tests pass
-// NewFaultFS to drive the store through deterministic fault injection.
-// A nil fsys means the real filesystem.
-func OpenFS(dir string, maxBytes int64, fsys FS) (*Store, error) {
-	return OpenOptions(dir, Options{MaxBytes: maxBytes, FS: fsys})
-}
-
 // OpenOptions opens the tiered engine. Stale temp files (crash leftovers
 // older than an hour) are reaped so they cannot accumulate unbounded,
 // uncounted and unevictable; segment indexes are rebuilt from footers,
@@ -157,19 +179,8 @@ func OpenOptions(dir string, opt Options) (*Store, error) {
 	if opt.FS == nil {
 		opt.FS = osFS{}
 	}
-	if opt.HotMaxBytes <= 0 && opt.MaxBytes > 0 {
-		opt.HotMaxBytes = opt.MaxBytes / 4
-	}
 	if opt.ColdAge <= 0 {
 		opt.ColdAge = time.Hour
-	}
-	if opt.SegmentTargetBytes <= 0 {
-		opt.SegmentTargetBytes = 4 << 20
-	}
-	switch opt.Compression {
-	case "", "flate", "none":
-	default:
-		return nil, fmt.Errorf("store: unknown compression %q (want flate or none)", opt.Compression)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -177,30 +188,21 @@ func OpenOptions(dir string, opt Options) (*Store, error) {
 	s := &Store{
 		dir:  dir,
 		opt:  opt,
-		fsys: opt.FS,
 		hot:  &hotTier{dir: dir, fsys: opt.FS},
-		cold: newColdTier(dir, opt.FS, opt.Compression != "none"),
+		cold: newColdTier(dir, opt.FS),
 	}
-	s.st.ReapedTemps += uint64(s.hot.scan())
+	hotFiles, reaped := s.hot.scan()
 	if err := s.cold.open(); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s.st.ReapedTemps += uint64(s.cold.reaped)
+	s.st.ReapedTemps += uint64(reaped + s.cold.reaped)
 	s.st.SalvagedSegments += uint64(s.cold.salvaged)
 	s.st.Quarantined += uint64(s.cold.quarantined)
 	// A crash between segment install and hot-file deletion leaves keys in
 	// both tiers; the copies are byte-identical (content addressing), so
 	// collapse to the hot one and dead-mark the cold record.
-	s.cold.mu.Lock()
-	var dups []string
-	for key := range s.cold.index {
-		if s.hot.Contains(key) {
-			dups = append(dups, key)
-		}
-	}
-	s.cold.mu.Unlock()
-	for _, key := range dups {
-		s.cold.Delete(key)
+	for _, f := range hotFiles {
+		s.cold.Delete(f.key)
 	}
 	s.enforceBudget("")
 	return s, nil
@@ -219,6 +221,19 @@ func (s *Store) Close() error {
 	return nil
 }
 
+// startLoop runs pass about every interval on a background loop in *slot,
+// stopping the loop it replaces. interval <= 0 starts nothing.
+func (s *Store) startLoop(slot **loop.Loop, interval time.Duration, pass func()) {
+	if interval <= 0 {
+		return
+	}
+	s.mu.Lock()
+	prev := *slot
+	*slot = loop.Start(interval, func(context.Context) { pass() })
+	s.mu.Unlock()
+	prev.Stop()
+}
+
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
@@ -230,13 +245,22 @@ func ValidKey(key string) bool {
 		return false
 	}
 	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+		if !lowerHex[key[i]] {
 			return false
 		}
 	}
 	return true
 }
+
+// lowerHex marks the bytes a key may hold. It is a table because a hash
+// mixes digits and letters at random: a range test's branches mispredict
+// and ran about 9× slower, and Open checks every name in the root.
+var lowerHex = func() (t [256]bool) {
+	for _, c := range "0123456789abcdef" {
+		t[c] = true
+	}
+	return t
+}()
 
 // Get returns the stored value for key, trying the hot tier first, then
 // cold segments. A cold hit is promoted back into the hot tier (the entry
@@ -274,26 +298,15 @@ func (s *Store) read(key string, serve bool) ([]byte, bool) {
 		s.st.ColdHits++
 		s.mu.Unlock()
 		if serve {
-			s.promote(key, v)
+			// Promote: the entry is active again. Failing to (full disk,
+			// injected fault) is harmless — the value was already served,
+			// and the cold record stays live.
+			_ = s.write(key, v, &s.st.Promotions)
 		}
 		return v, true
 	}
 	s.miss(errors.Is(herr, ErrCorrupt) || errors.Is(cerr, ErrCorrupt))
 	return nil, false
-}
-
-// promote rewrites a cold hit into the hot tier and retires the cold
-// record. Promotion failing (full disk, injected fault) is harmless — the
-// value was already served, and the cold record stays live.
-func (s *Store) promote(key string, value []byte) {
-	if err := s.hot.put(key, value); err != nil {
-		return
-	}
-	s.cold.Delete(key)
-	s.mu.Lock()
-	s.st.Promotions++
-	s.mu.Unlock()
-	s.enforceBudget(key)
 }
 
 func (s *Store) miss(corrupt bool) {
@@ -311,17 +324,22 @@ func (s *Store) Put(key string, value []byte) error {
 	if !ValidKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	if err := s.hot.put(key, value); err != nil {
-		s.mu.Lock()
-		s.st.PutErrors++
-		s.mu.Unlock()
+	if err := s.write(key, value, &s.st.Puts); err != nil {
+		s.count(&s.st.PutErrors)
 		return fmt.Errorf("store: %w", err)
 	}
-	s.mu.Lock()
-	s.st.Puts++
-	s.mu.Unlock()
-	// Keep the one-live-copy invariant: the fresh hot entry supersedes any
-	// cold record (same bytes by construction).
+	return nil
+}
+
+// write is the hot-tier write under Put and a cold hit's promotion. Once
+// the entry is in place it bumps done, retires any cold record of key —
+// the bytes are the same by construction, and one live copy is kept — and
+// enforces the budget.
+func (s *Store) write(key string, value []byte, done *uint64) error {
+	if err := s.hot.put(key, value); err != nil {
+		return err
+	}
+	s.count(done)
 	s.cold.Delete(key)
 	s.enforceBudget(key)
 	return nil
@@ -340,30 +358,21 @@ func (s *Store) enforceBudget(keep string) {
 	s.budgetMu.Lock()
 	defer s.budgetMu.Unlock()
 
-	total := func() int64 { return s.hot.Stats().DiskBytes + s.cold.Stats().DiskBytes }
-	if total() <= max {
+	fits := func() bool { return s.hot.Stats().DiskBytes+s.cold.Stats().DiskBytes <= max }
+	if fits() {
 		return
 	}
 	// 1. Reclaim: rewriting a sparse segment frees its dead space without
 	// losing any live entry.
-	for _, id := range s.cold.sparseSegments(rewriteLiveFrac) {
-		if total() <= max {
-			return
-		}
-		if err := s.cold.rewrite(id); err != nil {
-			s.count(&s.st.CompactErrors)
-			break
-		}
-		s.count(&s.st.SegmentRewrites)
-	}
+	s.reclaim(fits)
 	// 2. Evict cold: segments are time-ordered, so the oldest segment holds
 	// the least-recently-useful entries (anything hot was promoted out).
-	for total() > max {
+	for !fits() {
 		id, ok := s.cold.oldestSegment()
 		if !ok {
 			break
 		}
-		_, evicted := s.cold.dropSegment(id)
+		evicted := s.cold.dropSegment(id)
 		s.mu.Lock()
 		s.st.SegmentsDropped++
 		s.st.Evictions += uint64(evicted)

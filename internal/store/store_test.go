@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -267,6 +268,47 @@ func TestOpenReapsStaleTemps(t *testing.T) {
 	}
 	if st := s2.Stats(); st.ReapedTemps != 1 {
 		t.Fatalf("ReapedTemps = %d, want 1", st.ReapedTemps)
+	}
+}
+
+// TestStrayFileNotCounted: a file in the store root that merely ends in
+// .res is not an entry. Eviction can never remove it, so Open must not
+// count it against the budget, or every Put would evict real entries to
+// make room for it.
+func TestStrayFileNotCounted(t *testing.T) {
+	dir := t.TempDir()
+	stray := filepath.Join(dir, "backup.res")
+	if err := os.WriteFile(stray, bytes.Repeat([]byte("B"), 10_000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, 8_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.HotEntries != 0 || st.HotBytes != 0 {
+		t.Fatalf("Open counted the stray file: %d entries, %d bytes", st.HotEntries, st.HotBytes)
+	}
+	keys := make([]string, 5)
+	for i := range keys {
+		keys[i] = keyOf(fmt.Sprintf("beside-stray-%d", i))
+		if err := s.Put(keys[i], []byte(fmt.Sprintf("small value %d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Evictions != 0 || st.HotEntries != len(keys) {
+		t.Fatalf("after %d small Puts: %d evictions, %d hot entries", len(keys), st.Evictions, st.HotEntries)
+	}
+	slices.Sort(keys)
+	if got := s.Keys(); !slices.Equal(got, keys) {
+		t.Fatalf("Keys() = %d keys, want the %d put", len(got), len(keys))
+	}
+	for _, k := range keys {
+		if _, ok := s.Get(k); !ok {
+			t.Fatalf("key %s lost", k)
+		}
+	}
+	if info, err := os.Stat(stray); err != nil || info.Size() != 10_000 {
+		t.Fatalf("stray file disturbed: %v", err)
 	}
 }
 

@@ -136,6 +136,11 @@ func TestEndToEndStoreHit(t *testing.T) {
 	if served := metricValue(t, text, "netcached_store_served_total"); served != 2 {
 		t.Fatalf("store served = %d, want 2", served)
 	}
+	// The first hit read the entry's file; the repeat was answered from
+	// the bytes that read verified.
+	if mem := metricValue(t, text, "netcached_store_hot_memory_hits_total"); mem != 1 {
+		t.Fatalf("store hot memory hits = %d, want 1", mem)
+	}
 	if simTotal := metricValue(t, text, "netcached_simulations_total"); simTotal != 1 {
 		t.Fatalf("simulations_total = %d, want 1", simTotal)
 	}

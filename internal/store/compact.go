@@ -75,7 +75,7 @@ func (s *Store) migrate() (migrated int) {
 	for _, v := range vics {
 		// peek, not get: reading for migration must not refresh the LRU
 		// clock and re-heat the entry.
-		payload, err := s.hot.get(v.key, false)
+		payload, _, err := s.hot.get(v.key, false)
 		if err != nil {
 			continue // vanished or corrupt (already dropped); nothing to move
 		}

@@ -22,9 +22,21 @@ const headerSize = 5 + 8 + sha256.Size
 
 const suffix = ".res"
 
+// memBudget bounds the payload bytes of the hot tier's table of remembered
+// values. It holds about 128 of the ~8 KB results of figure specs at scale
+// 0.06, more than the whole Figure 6 matrix (48); an 8 MiB table cost the
+// rebalance benchmark's joiner 14% more peak memory for no more hits.
+const memBudget = 1 << 20
+
 // hotTier is the engine's recency tier: one checksummed file per key,
 // written via temp-file-then-rename, mtime doubling as the LRU clock. It is
 // byte-compatible with the pre-engine store layout.
+//
+// A serving get remembers the payload it read and verified, so a repeat
+// costs a map lookup and the mtime refresh instead of a read and a SHA-256.
+// A value needs no invalidation protocol, since a key's value can only ever
+// be one byte string; the table forgets a key wherever its file is
+// replaced or removed, and drops arbitrary entries to stay under memBudget.
 type hotTier struct {
 	dir  string
 	fsys FS
@@ -32,6 +44,12 @@ type hotTier struct {
 	mu    sync.Mutex
 	size  int64
 	count int
+
+	mem      map[string][]byte // key → remembered payload, capacity clipped
+	memBytes int
+	// gen counts the replacements and removals of entry files. A read
+	// that overlapped one neither remembers nor drops what it read.
+	gen uint64
 }
 
 func (h *hotTier) path(key string) string { return filepath.Join(h.dir, key+suffix) }
@@ -74,30 +92,81 @@ func (h *hotTier) scan() (files []hotFile, reaped int) {
 	return files, reapTemps(h.dir, others, tempPattern)
 }
 
-// get returns the entry's payload. touch refreshes the entry's mtime (the
-// LRU clock) — the serving path touches, compaction's peek does not. A
-// corrupt entry is deleted (so it cannot shadow the recompute) and reported
-// as ErrCorrupt; an absent or unreadable one as ErrNotFound wrapping the
-// cause.
-func (h *hotTier) get(key string, touch bool) ([]byte, error) {
-	b, err := h.fsys.ReadFile(h.path(key))
+// get returns the entry's payload, and whether the table answered without
+// a file read. A serving get (serve) refreshes the entry's mtime, the LRU
+// clock, and answers a repeat from the table, its Chtimes doubling as the
+// check that the file still exists. Peek and compaction's read do neither
+// and never fill the table. A corrupt entry is deleted (so it cannot
+// shadow the recompute) unless the tier changed during the read, and
+// reported as ErrCorrupt; an absent or unreadable one as ErrNotFound.
+func (h *hotTier) get(key string, serve bool) (payload []byte, remembered bool, err error) {
+	path := h.path(key)
+	h.mu.Lock()
+	if v, ok := h.mem[key]; ok && serve {
+		if h.touchLocked(path) == nil {
+			h.mu.Unlock()
+			return v, true, nil
+		}
+		h.forgetLocked(key)
+	}
+	gen := h.gen
+	h.mu.Unlock()
+
+	b, err := h.fsys.ReadFile(path)
 	if err != nil {
-		return nil, ErrNotFound
+		return nil, false, ErrNotFound
 	}
 	payload, ok := decode(b)
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if !ok {
-		h.Delete(key)
-		return nil, ErrCorrupt
+		if h.gen == gen {
+			h.dropLocked(key)
+		}
+		return nil, false, ErrCorrupt
 	}
-	if touch {
-		now := time.Now()
-		h.mu.Lock()
-		// Refresh the LRU clock under mu so the mtime write is serialized
-		// with put's rename and evict's scan.
-		_ = h.fsys.Chtimes(h.path(key), now, now)
-		h.mu.Unlock()
+	if serve && h.touchLocked(path) == nil && h.gen == gen {
+		h.rememberLocked(key, payload)
 	}
-	return payload, nil
+	return payload, false, nil
+}
+
+// touchLocked refreshes the LRU clock. It runs under mu so the mtime write
+// is serialized with put's rename and evict's scan.
+func (h *hotTier) touchLocked(path string) error {
+	now := time.Now()
+	return h.fsys.Chtimes(path, now, now)
+}
+
+// rememberLocked adds key's verified payload to the table, first dropping
+// arbitrary entries until it fits under memBudget.
+func (h *hotTier) rememberLocked(key string, p []byte) {
+	if _, ok := h.mem[key]; ok || len(p) > memBudget {
+		return
+	}
+	for k, v := range h.mem {
+		if h.memBytes+len(p) <= memBudget {
+			break
+		}
+		delete(h.mem, k)
+		h.memBytes -= len(v)
+	}
+	if h.mem == nil {
+		h.mem = make(map[string][]byte)
+	}
+	h.mem[key] = p[:len(p):len(p)]
+	h.memBytes += len(p)
+}
+
+// forgetLocked records that key's entry file is being replaced or removed:
+// the table forgets its value, and reads in flight neither remember nor
+// drop what they read.
+func (h *hotTier) forgetLocked(key string) {
+	h.gen++
+	if v, ok := h.mem[key]; ok {
+		delete(h.mem, key)
+		h.memBytes -= len(v)
+	}
 }
 
 // put stores value under key atomically: staged in a temp file and renamed
@@ -111,6 +180,7 @@ func (h *hotTier) put(key string, value []byte) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.forgetLocked(key)
 	if prev, err := h.fsys.Stat(h.path(key)); err == nil {
 		h.size -= prev.Size()
 		h.count--
@@ -149,6 +219,7 @@ func (h *hotTier) Delete(key string) bool {
 // that replaced the file between a read and now cannot make size/count
 // drift.
 func (h *hotTier) dropLocked(key string) bool {
+	h.forgetLocked(key)
 	path := h.path(key)
 	info, err := h.fsys.Stat(path)
 	if err != nil {
@@ -270,6 +341,7 @@ func (h *hotTier) quarantine(key string) bool {
 	if err != nil || h.fsys.Rename(path, q) != nil {
 		return false
 	}
+	h.forgetLocked(key)
 	h.size -= info.Size()
 	h.count--
 	return true

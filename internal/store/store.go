@@ -9,9 +9,11 @@
 //
 //   - The hot tier keeps the original one-file-per-key layout for recent
 //     and active results: entries are written to a temp file and atomically
-//     renamed, reads validate a length+checksum header, and the file mtime
-//     is the LRU clock. A pre-engine store directory IS a hot tier, so old
-//     stores open and migrate transparently.
+//     renamed, every read from disk validates a length+checksum header, and
+//     the file mtime is the LRU clock. A serving Get remembers the payload
+//     it verified in a table of at most 1 MiB, so a repeated hit reads no
+//     file. A pre-engine store directory IS a hot tier, so old stores open
+//     and migrate transparently.
 //   - The cold tier packs aged-out entries into append-only, per-record
 //     compressed, CRC-checksummed segment files under cold/, located by an
 //     in-memory index rebuilt on open from segment footers (or salvaged by
@@ -25,7 +27,10 @@
 // tiers: over budget, dead segment space is compacted away first, then the
 // oldest segments are evicted (by compaction, not per-key unlink), then
 // hot entries go in mtime order. Any read failure in either tier is a miss
-// to be recomputed — corruption is never served and never panics.
+// to be recomputed — corruption is never served and never panics. The
+// scrubber reads files, never the table: a hot file corrupted on disk
+// after its value was remembered is served from the bytes verified then,
+// until the scrubber quarantines the file, which forgets the value.
 //
 // Crash contract: the store never calls fsync. An acknowledged Put and an
 // installed segment survive a crash of the process, not a power loss: a
@@ -99,16 +104,17 @@ func reapTemps(dir string, ents []os.DirEntry, pattern string) (reaped int) {
 
 // Stats are the store's monotonic counters plus current occupancy.
 type Stats struct {
-	Hits        uint64
-	HotHits     uint64 // subset of Hits served from the hot tier
-	ColdHits    uint64 // subset of Hits served from cold segments
-	Misses      uint64 // absent, corrupt, or unreadable entries
-	Corrupt     uint64 // subset of Misses that failed validation in either tier
-	Puts        uint64
-	PutErrors   uint64 // Put calls that failed (write/rename errors)
-	Evictions   uint64 // entries evicted by the size bound, both tiers
-	Promotions  uint64 // cold hits rewritten into the hot tier
-	ReapedTemps uint64 // stale put-* and seg-*.tmp files deleted by Open
+	Hits          uint64
+	HotHits       uint64 // subset of Hits served from the hot tier
+	HotMemoryHits uint64 // subset of HotHits answered from remembered bytes, no file read
+	ColdHits      uint64 // subset of Hits served from cold segments
+	Misses        uint64 // absent, corrupt, or unreadable entries
+	Corrupt       uint64 // subset of Misses that failed validation in either tier
+	Puts          uint64
+	PutErrors     uint64 // Put calls that failed (write/rename errors)
+	Evictions     uint64 // entries evicted by the size bound, both tiers
+	Promotions    uint64 // cold hits rewritten into the hot tier
+	ReapedTemps   uint64 // stale put-* and seg-*.tmp files deleted by Open
 
 	Scrubs      uint64 // completed scrub passes
 	Scrubbed    uint64 // hot entries + cold records checksum-validated by the scrubber
@@ -267,14 +273,17 @@ var lowerHex = func() (t [256]bool) {
 // is active again). Any failure — absent, injected read error, header,
 // checksum, or index mismatch — is a miss: the caller recomputes and Puts,
 // and corrupt bytes are dropped or dead-marked so they cannot shadow the
-// rewrite.
+// rewrite. The returned bytes are shared with the hot tier's table of
+// remembered values and with other callers: they must not be modified.
 func (s *Store) Get(key string) ([]byte, bool) { return s.read(key, true) }
 
 // Peek is Get for background readers — the cluster's rebalance pass and
 // the peer presence check. It verifies the checksum and
 // drops corrupt entries exactly like Get, but neither refreshes a hot
 // entry's mtime (the LRU clock) nor promotes a cold hit: copying a key to
-// a replica is not a sign that anyone reads it.
+// a replica is not a sign that anyone reads it. For the same reason it
+// reads the file and never adds to the table of remembered values. As
+// with Get, the returned bytes must not be modified.
 func (s *Store) Peek(key string) ([]byte, bool) { return s.read(key, false) }
 
 // read is Get (serve set) and Peek (serve clear).
@@ -283,11 +292,14 @@ func (s *Store) read(key string, serve bool) ([]byte, bool) {
 		s.miss(false)
 		return nil, false
 	}
-	v, herr := s.hot.get(key, serve)
+	v, remembered, herr := s.hot.get(key, serve)
 	if herr == nil {
 		s.mu.Lock()
 		s.st.Hits++
 		s.st.HotHits++
+		if remembered {
+			s.st.HotMemoryHits++
+		}
 		s.mu.Unlock()
 		return v, true
 	}

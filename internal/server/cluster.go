@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -167,7 +166,7 @@ func (s *Server) storeFill(key string, body []byte) {
 	if s.cfg.Store == nil || !s.allowPut() {
 		return
 	}
-	if !json.Valid(body) {
+	if !validJSON(body) {
 		s.m.add(&s.m.fillsRefused)
 		s.cfg.Log.Printf("store fill %s: value is not JSON; not stored", key[:8])
 		return

@@ -234,7 +234,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case !store.ValidKey(f.Key):
 			*out = PushOutcome{Status: http.StatusBadRequest, Error: "key must be 64 hex chars"}
-		case !json.Valid(f.Value):
+		case !validJSON(f.Value):
 			*out = PushOutcome{Status: http.StatusBadRequest, Error: "value is not JSON"}
 		default:
 			if err := s.cfg.Store.Put(f.Key, f.Value); err != nil {

@@ -100,3 +100,38 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSegmentIndex: whatever index entries a segment carries under a
+// trailer whose CRC-32C matches them, every record parseSegmentIndex
+// accepts lies inside [segHeaderSize, indexOff), and decoding its bytes
+// returns a payload or ErrCorrupt, never a panic.
+func FuzzSegmentIndex(f *testing.F) {
+	img, recs, err := encodeSegment(append(segEntries(3), segEntry{key: keyOf("fuzz-del"), tomb: true}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	indexOff := recs[len(recs)-1].off + recs[len(recs)-1].diskSize()
+	f.Add(img[segHeaderSize:indexOff], img[indexOff:len(img)-segTrailerSize])
+	f.Add([]byte("data"), []byte{})
+	overflow := append(make([]byte, rawKeySize+1), 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xf5, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 0)
+	f.Add([]byte{}, overflow)
+	f.Fuzz(func(t *testing.T, region, index []byte) {
+		img := indexedImage(region, index)
+		indexOff := int64(segHeaderSize + len(region))
+		recs, err := parseSegmentIndex(int64(len(img)), memRead(img))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("parse: unexpected error %v", err)
+			}
+			return
+		}
+		for _, rec := range recs {
+			if rec.off < segHeaderSize || rec.off > indexOff-rec.diskSize() {
+				t.Fatalf("record %+v outside [%d, %d)", rec, segHeaderSize, indexOff)
+			}
+			if _, err := decodeRecord(rec, img[rec.off:rec.off+rec.diskSize()]); err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decode %+v: unexpected error %v", rec, err)
+			}
+		}
+	})
+}

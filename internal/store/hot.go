@@ -38,8 +38,9 @@ const memBudget = 1 << 20
 // be one byte string; the table forgets a key wherever its file is
 // replaced or removed, and drops arbitrary entries to stay under memBudget.
 type hotTier struct {
-	dir  string
-	fsys FS
+	dir    string
+	prefix string // dir as filepath.Join cleans it, ready for a file name
+	fsys   FS
 
 	mu    sync.Mutex
 	size  int64
@@ -52,7 +53,16 @@ type hotTier struct {
 	gen uint64
 }
 
-func (h *hotTier) path(key string) string { return filepath.Join(h.dir, key+suffix) }
+func newHotTier(dir string, fsys FS) *hotTier {
+	// Joining a one-byte name and cutting it off again leaves the prefix
+	// that filepath.Join gives every single-element name in dir.
+	prefix := filepath.Join(dir, "x")
+	return &hotTier{dir: dir, prefix: prefix[:len(prefix)-1], fsys: fsys}
+}
+
+// path is filepath.Join(h.dir, key+suffix), without cleaning h.dir on every
+// call.
+func (h *hotTier) path(key string) string { return h.prefix + key + suffix }
 
 // hotFile is one hot-tier entry in a listing of the store root.
 type hotFile struct {
@@ -178,17 +188,18 @@ func (h *hotTier) put(key string, value []byte) error {
 	if err != nil {
 		return err
 	}
+	path := h.path(key)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.forgetLocked(key)
-	if prev, err := h.fsys.Stat(h.path(key)); err == nil {
+	if prev, err := h.fsys.Stat(path); err == nil {
 		h.size -= prev.Size()
 		h.count--
 	}
-	if err := h.fsys.Rename(tmp, h.path(key)); err != nil {
+	if err := h.fsys.Rename(tmp, path); err != nil {
 		// The previous entry may or may not still exist; restat so the
 		// accounting matches whatever is actually on disk.
-		if prev, serr := h.fsys.Stat(h.path(key)); serr == nil {
+		if prev, serr := h.fsys.Stat(path); serr == nil {
 			h.size += prev.Size()
 			h.count++
 		}
@@ -199,7 +210,7 @@ func (h *hotTier) put(key string, value []byte) error {
 	// account what is on disk, not what we asked for. Reads catch the
 	// corruption via the checksum header.
 	n := int64(len(enc))
-	if info, err := h.fsys.Stat(h.path(key)); err == nil {
+	if info, err := h.fsys.Stat(path); err == nil {
 		n = info.Size()
 	}
 	h.size += n

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -413,4 +414,19 @@ func TestHotMemAgreesWithDisk(t *testing.T) {
 		}
 	}
 	checkAccounting(t, s)
+}
+
+// TestHotPathMatchesJoin: the tier's entry path, built from a prefix made
+// once, is filepath.Join(dir, key+suffix) byte for byte, however the
+// store directory is spelled.
+func TestHotPathMatchesJoin(t *testing.T) {
+	keys := []string{keyOf("a"), strings.Repeat("0", 64), strings.Repeat("f", 64)}
+	for _, dir := range []string{"", ".", "/", "a", "a/", "a//b/..", "./a/./b", "../a", "..", "/tmp//x/", "a/b/../../.."} {
+		h := newHotTier(dir, osFS{})
+		for _, key := range keys {
+			if got, want := h.path(key), filepath.Join(dir, key+suffix); got != want {
+				t.Errorf("dir %q: path %q, want %q", dir, got, want)
+			}
+		}
+	}
 }

@@ -271,8 +271,10 @@ func parseSegmentIndex(size int64, read func(off, n int64) ([]byte, error)) ([]s
 			ulen:  binary.BigEndian.Uint32(e[rawKeySize+13 : rawKeySize+17]),
 			crc:   binary.BigEndian.Uint32(e[rawKeySize+17 : rawKeySize+21]),
 		}
+		// Subtract rather than add: off+diskSize wraps negative for an
+		// offset near MaxInt64.
 		if rec.slen > maxSegRecord || rec.ulen > maxSegRecord ||
-			rec.off < segHeaderSize || rec.off+rec.diskSize() > indexOff {
+			rec.off < segHeaderSize || rec.off > indexOff-rec.diskSize() {
 			return nil, ErrCorrupt
 		}
 		recs = append(recs, rec)

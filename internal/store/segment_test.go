@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"testing"
 )
 
@@ -205,5 +207,37 @@ func TestDecodeRecordCorruption(t *testing.T) {
 	}
 	if _, err := decodeRecord(rec, append(append([]byte(nil), raw...), 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("extended record decoded")
+	}
+}
+
+// indexedImage is a segment image around a fuzzer's or a test's choice of
+// record region and raw index entries: the magic, region, the index (cut
+// to whole entries), and a trailer whose count, offset and CRC-32C are
+// right for them, so parseSegmentIndex reads every entry.
+func indexedImage(region, index []byte) []byte {
+	index = index[:len(index)/idxEntrySize*idxEntrySize]
+	img := append(append(append([]byte(nil), segMagic...), region...), index...)
+	img = binary.BigEndian.AppendUint32(img, uint32(len(index)/idxEntrySize))
+	img = binary.BigEndian.AppendUint64(img, uint64(segHeaderSize+len(region)))
+	img = binary.BigEndian.AppendUint32(img, crc32.Checksum(index, crcTable))
+	return append(img, segFootMagic...)
+}
+
+// TestSegmentIndexOffsetOverflow: an index entry whose offset lies within
+// its record's size of MaxInt64 is corrupt. The bound off+size > indexOff
+// wrapped negative there and accepted it, so a cold read of the key missed
+// on every attempt and the open-time salvage never ran.
+func TestSegmentIndexOffsetOverflow(t *testing.T) {
+	entry := append(make([]byte, rawKeySize), 0)
+	entry = binary.BigEndian.AppendUint64(entry, math.MaxInt64-10)
+	entry = binary.BigEndian.AppendUint32(entry, 4) // slen
+	entry = binary.BigEndian.AppendUint32(entry, 4) // ulen
+	entry = binary.BigEndian.AppendUint32(entry, 0) // crc
+	img := indexedImage(nil, entry)
+	if len(img) != 79 {
+		t.Fatalf("image is %d bytes, want 79", len(img))
+	}
+	if recs, err := parseSegmentIndex(int64(len(img)), memRead(img)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("parse = %+v, %v; want ErrCorrupt", recs, err)
 	}
 }

@@ -194,7 +194,7 @@ func OpenOptions(dir string, opt Options) (*Store, error) {
 	s := &Store{
 		dir:  dir,
 		opt:  opt,
-		hot:  &hotTier{dir: dir, fsys: opt.FS},
+		hot:  newHotTier(dir, opt.FS),
 		cold: newColdTier(dir, opt.FS),
 	}
 	hotFiles, reaped := s.hot.scan()

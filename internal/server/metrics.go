@@ -142,6 +142,7 @@ func (m *metrics) render(b *strings.Builder, s *Server, degraded bool) {
 		counter("netcached_store_hits_total", "Result-store hits.", ss.Hits)
 		counter("netcached_store_hot_hits_total", "Store hits served from the hot (per-key file) tier.", ss.HotHits)
 		counter("netcached_store_hot_memory_hits_total", "Hot hits answered from remembered verified bytes, without a file read.", ss.HotMemoryHits)
+		counter("netcached_store_lru_touches_total", "Hot entry mtime (LRU clock) refreshes made by serving hits; a remembered value's file is touched at most once a second.", ss.Touches)
 		counter("netcached_store_cold_hits_total", "Store hits served from cold segment files.", ss.ColdHits)
 		counter("netcached_store_misses_total", "Result-store misses (absent or corrupt entries).", ss.Misses)
 		counter("netcached_store_corrupt_total", "Store entries dropped for failing checksum validation.", ss.Corrupt)

@@ -141,6 +141,11 @@ func TestEndToEndStoreHit(t *testing.T) {
 	if mem := metricValue(t, text, "netcached_store_hot_memory_hits_total"); mem != 1 {
 		t.Fatalf("store hot memory hits = %d, want 1", mem)
 	}
+	// The first hit refreshed the LRU clock; the repeat does too only if
+	// a second has passed since.
+	if touches := metricValue(t, text, "netcached_store_lru_touches_total"); touches < 1 || touches > 2 {
+		t.Fatalf("store LRU touches = %d, want 1 or 2", touches)
+	}
 	if simTotal := metricValue(t, text, "netcached_simulations_total"); simTotal != 1 {
 		t.Fatalf("simulations_total = %d, want 1", simTotal)
 	}

@@ -32,9 +32,9 @@ func benchKeys(n int) []string {
 // every one.
 const hotBenchKeys = 128
 
-// hotReadBench fills a store with hotBenchKeys entries and times read on
-// them in turn.
-func hotReadBench(b *testing.B, read func(s *Store, key string) ([]byte, bool)) {
+// hotStore fills a store with hotBenchKeys entries, sets the bytes per
+// op to one entry's payload and returns the store and its keys.
+func hotStore(b *testing.B) (*Store, []string) {
 	s, err := Open(b.TempDir(), 0)
 	if err != nil {
 		b.Fatal(err)
@@ -47,6 +47,12 @@ func hotReadBench(b *testing.B, read func(s *Store, key string) ([]byte, bool)) 
 		}
 	}
 	b.SetBytes(int64(len(val)))
+	return s, keys
+}
+
+// hotReadBench times read on hotStore's keys in turn.
+func hotReadBench(b *testing.B, read func(s *Store, key string) ([]byte, bool)) {
+	s, keys := hotStore(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := read(s, keys[i%len(keys)]); !ok {
@@ -56,9 +62,27 @@ func hotReadBench(b *testing.B, read func(s *Store, key string) ([]byte, bool)) 
 }
 
 // BenchmarkStoreHotGet measures the serving fast path: a repeated hot-tier
-// hit, answered from the table of remembered values with the LRU mtime
-// refresh. Only each key's first Get reads and verifies its file.
+// hit, answered from the table of remembered values. Only each key's first
+// Get reads and verifies its file, and each key's LRU mtime is refreshed
+// at most once per touchEvery.
 func BenchmarkStoreHotGet(b *testing.B) { hotReadBench(b, (*Store).Get) }
+
+// BenchmarkStoreHotGetParallel is BenchmarkStoreHotGet from GOMAXPROCS
+// goroutines at once. Every hit takes the hot tier's lock, so it shows
+// what a hit holds that lock for, which the serial benchmark cannot: a
+// system call made under it serializes every other hit on the node.
+func BenchmarkStoreHotGetParallel(b *testing.B) {
+	s, keys := hotStore(b)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, ok := s.Get(keys[i%len(keys)]); !ok {
+				b.Error("miss")
+				return
+			}
+		}
+	})
+}
 
 // BenchmarkStoreHotPeek measures the file path that every first Get and
 // every Peek pays: read the whole file and verify its checksum.

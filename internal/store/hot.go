@@ -28,36 +28,58 @@ const suffix = ".res"
 // rebalance benchmark's joiner 14% more peak memory for no more hits.
 const memBudget = 1 << 20
 
+// touchEvery is how often a serving hit on a remembered value refreshes
+// its file's mtime, the LRU clock. A repeat inside the window makes no FS
+// call, so the mtime lags the last hit by less than touchEvery, and a file
+// removed behind the store's back is served from verified memory for at
+// most touchEvery, then misses. A second is no coarser than the mtimes
+// ext3, HFS+ (1 s) and FAT (2 s) keep, and small beside -cold-age (minutes
+// to hours); at perfbench serve-hot's rates it cuts the touches from about
+// 13,000 to 23 a second. The mtime itself must stay: without it the
+// hottest entries would look idle, and eviction and migration would take
+// them first.
+const touchEvery = time.Second
+
 // hotTier is the engine's recency tier: one checksummed file per key,
 // written via temp-file-then-rename, mtime doubling as the LRU clock. It is
 // byte-compatible with the pre-engine store layout.
 //
-// A serving get remembers the payload it read and verified, so a repeat
-// costs a map lookup and the mtime refresh instead of a read and a SHA-256.
-// A value needs no invalidation protocol, since a key's value can only ever
-// be one byte string; the table forgets a key wherever its file is
-// replaced or removed, and drops arbitrary entries to stay under memBudget.
+// A serving get remembers the payload it read and verified, and when it
+// last refreshed the file's mtime, so a repeat costs a map lookup instead
+// of a read and a SHA-256, plus the mtime refresh at most once per
+// touchEvery. A value needs no invalidation protocol, since a key's value
+// can only ever be one byte string; the table forgets a key wherever its
+// file is replaced or removed, and drops arbitrary entries to stay under
+// memBudget.
 type hotTier struct {
 	dir    string
 	prefix string // dir as filepath.Join cleans it, ready for a file name
 	fsys   FS
+	now    func() time.Time // the LRU clock's source; tests step it
 
 	mu    sync.Mutex
 	size  int64
 	count int
 
-	mem      map[string][]byte // key → remembered payload, capacity clipped
+	mem      map[string]memEntry
 	memBytes int
 	// gen counts the replacements and removals of entry files. A read
 	// that overlapped one neither remembers nor drops what it read.
 	gen uint64
 }
 
+// memEntry is one remembered value: the payload a serving get verified,
+// capacity clipped, and the time of its file's last mtime refresh.
+type memEntry struct {
+	payload []byte
+	touched time.Time
+}
+
 func newHotTier(dir string, fsys FS) *hotTier {
 	// Joining a one-byte name and cutting it off again leaves the prefix
 	// that filepath.Join gives every single-element name in dir.
 	prefix := filepath.Join(dir, "x")
-	return &hotTier{dir: dir, prefix: prefix[:len(prefix)-1], fsys: fsys}
+	return &hotTier{dir: dir, prefix: prefix[:len(prefix)-1], fsys: fsys, now: time.Now}
 }
 
 // path is filepath.Join(h.dir, key+suffix), without cleaning h.dir on every
@@ -102,29 +124,37 @@ func (h *hotTier) scan() (files []hotFile, reaped int) {
 	return files, reapTemps(h.dir, others, tempPattern)
 }
 
-// get returns the entry's payload, and whether the table answered without
-// a file read. A serving get (serve) refreshes the entry's mtime, the LRU
-// clock, and answers a repeat from the table, its Chtimes doubling as the
-// check that the file still exists. Peek and compaction's read do neither
-// and never fill the table. A corrupt entry is deleted (so it cannot
+// get returns the entry's payload, whether the table answered without a
+// file read, and whether a serving get refreshed the entry's mtime, the
+// LRU clock. A serving get (serve) remembers what it read and answers a
+// repeat from the table, touching the file only once touchEvery has passed
+// since the last touch; that Chtimes doubles as the check that the file
+// still exists. Peek and compaction's read do neither, never fill the
+// table and never read the clock. A corrupt entry is deleted (so it cannot
 // shadow the recompute) unless the tier changed during the read, and
 // reported as ErrCorrupt; an absent or unreadable one as ErrNotFound.
-func (h *hotTier) get(key string, serve bool) (payload []byte, remembered bool, err error) {
-	path := h.path(key)
+func (h *hotTier) get(key string, serve bool) (payload []byte, remembered, touched bool, err error) {
 	h.mu.Lock()
-	if v, ok := h.mem[key]; ok && serve {
-		if h.touchLocked(path) == nil {
+	if e, ok := h.mem[key]; ok && serve {
+		now := h.now()
+		if now.Sub(e.touched) < touchEvery {
 			h.mu.Unlock()
-			return v, true, nil
+			return e.payload, true, false, nil
+		}
+		if h.touchLocked(h.path(key), now) == nil {
+			h.mem[key] = memEntry{e.payload, now}
+			h.mu.Unlock()
+			return e.payload, true, true, nil
 		}
 		h.forgetLocked(key)
 	}
 	gen := h.gen
 	h.mu.Unlock()
 
+	path := h.path(key)
 	b, err := h.fsys.ReadFile(path)
 	if err != nil {
-		return nil, false, ErrNotFound
+		return nil, false, false, ErrNotFound
 	}
 	payload, ok := decode(b)
 	h.mu.Lock()
@@ -133,49 +163,53 @@ func (h *hotTier) get(key string, serve bool) (payload []byte, remembered bool, 
 		if h.gen == gen {
 			h.dropLocked(key)
 		}
-		return nil, false, ErrCorrupt
+		return nil, false, false, ErrCorrupt
 	}
-	if serve && h.touchLocked(path) == nil && h.gen == gen {
-		h.rememberLocked(key, payload)
+	if serve {
+		now := h.now()
+		touched = h.touchLocked(path, now) == nil
+		if touched && h.gen == gen {
+			h.rememberLocked(key, payload, now)
+		}
 	}
-	return payload, false, nil
+	return payload, false, touched, nil
 }
 
-// touchLocked refreshes the LRU clock. It runs under mu so the mtime write
-// is serialized with put's rename and evict's scan.
-func (h *hotTier) touchLocked(path string) error {
-	now := time.Now()
+// touchLocked sets the entry file's mtime, the LRU clock, to now. It runs
+// under mu so the mtime write is serialized with put's rename and evict's
+// scan.
+func (h *hotTier) touchLocked(path string, now time.Time) error {
 	return h.fsys.Chtimes(path, now, now)
 }
 
-// rememberLocked adds key's verified payload to the table, first dropping
-// arbitrary entries until it fits under memBudget.
-func (h *hotTier) rememberLocked(key string, p []byte) {
+// rememberLocked adds key's verified payload, touched at now, to the
+// table, first dropping arbitrary entries until it fits under memBudget.
+func (h *hotTier) rememberLocked(key string, p []byte, now time.Time) {
 	if _, ok := h.mem[key]; ok || len(p) > memBudget {
 		return
 	}
-	for k, v := range h.mem {
+	for k, e := range h.mem {
 		if h.memBytes+len(p) <= memBudget {
 			break
 		}
 		delete(h.mem, k)
-		h.memBytes -= len(v)
+		h.memBytes -= len(e.payload)
 	}
 	if h.mem == nil {
-		h.mem = make(map[string][]byte)
+		h.mem = make(map[string]memEntry)
 	}
-	h.mem[key] = p[:len(p):len(p)]
+	h.mem[key] = memEntry{p[:len(p):len(p)], now}
 	h.memBytes += len(p)
 }
 
 // forgetLocked records that key's entry file is being replaced or removed:
-// the table forgets its value, and reads in flight neither remember nor
-// drop what they read.
+// the table forgets its value and last touch, and reads in flight neither
+// remember nor drop what they read.
 func (h *hotTier) forgetLocked(key string) {
 	h.gen++
-	if v, ok := h.mem[key]; ok {
+	if e, ok := h.mem[key]; ok {
 		delete(h.mem, key)
-		h.memBytes -= len(v)
+		h.memBytes -= len(e.payload)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -98,17 +99,58 @@ func mustGet(t *testing.T, s *Store, key string, want []byte) {
 	}
 }
 
+// testClock is a hot tier's clock that stands still until step moves it.
+// It starts at a whole second a minute ahead of the real clock, so the
+// mtimes a touch writes are exact on any file system and newer than any
+// Put's, and it counts how often it was read. It is safe for concurrent
+// use.
+type testClock struct {
+	ns    atomic.Int64
+	reads atomic.Int64
+}
+
+// stepClock gives h a testClock.
+func stepClock(h *hotTier) *testClock {
+	c := new(testClock)
+	c.ns.Store(time.Now().Add(time.Minute).Truncate(time.Second).UnixNano())
+	h.now = c.now
+	return c
+}
+
+func (c *testClock) now() time.Time {
+	c.reads.Add(1)
+	return time.Unix(0, c.ns.Load())
+}
+
+// step moves the clock on by d and returns the new time.
+func (c *testClock) step(d time.Duration) time.Time { return time.Unix(0, c.ns.Add(int64(d))) }
+
+// mtime returns key's entry file mtime.
+func mtime(t *testing.T, s *Store, key string) time.Time {
+	t.Helper()
+	info, err := os.Stat(s.hot.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.ModTime()
+}
+
 // checkMem asserts, on a quiet store, that every remembered key still has
-// its file, that the table's byte count matches its values and stays
-// within memBudget, and that no remembered slice can grow into memory
-// shared with a caller.
+// its file, that every value has a touch record and every touch record a
+// value, that the table's byte count matches its values and stays within
+// memBudget, and that no remembered slice can grow into memory shared with
+// a caller.
 func checkMem(t *testing.T, h *hotTier) {
 	t.Helper()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	sum := 0
-	for k, v := range h.mem {
+	for k, e := range h.mem {
+		v := e.payload
 		sum += len(v)
+		if v == nil || e.touched.IsZero() {
+			t.Fatalf("remembered %s with value %v and last touch %v", k[:8], v != nil, e.touched)
+		}
 		if cap(v) != len(v) {
 			t.Fatalf("remembered %s with capacity %d > length %d", k[:8], cap(v), len(v))
 		}
@@ -121,26 +163,45 @@ func checkMem(t *testing.T, h *hotTier) {
 	}
 }
 
-// TestHotMemRepeatReadsOnce: the first Get reads and verifies the file;
-// every repeat makes only the LRU touch on the FS.
+// TestHotMemRepeatReadsOnce: the first Get reads, verifies and touches the
+// file. A repeat inside touchEvery of that touch makes no FS call at all,
+// and the first repeat after the window makes exactly one Chtimes, which
+// starts the next window.
 func TestHotMemRepeatReadsOnce(t *testing.T) {
 	s, fsys := openSpy(t)
+	clock := stepClock(s.hot)
 	key, val := keyOf("repeat"), []byte(`{"Cycles":1}`)
 	if err := s.Put(key, val); err != nil {
 		t.Fatal(err)
 	}
 	fsys.take()
-	for i := range 5 {
+	mustGet(t, s, key, val)
+	if calls := fsys.take(); !slices.Equal(calls, []string{"ReadFile", "Chtimes"}) {
+		t.Fatalf("first Get made %v on the FS", calls)
+	}
+	for _, d := range []time.Duration{0, touchEvery / 2, touchEvery/2 - 1} { // last Get at touchEvery-1
+		clock.step(d)
 		mustGet(t, s, key, val)
-		want := []string{"Chtimes"}
-		if i == 0 {
-			want = []string{"ReadFile", "Chtimes"}
+		if calls := fsys.take(); len(calls) != 0 {
+			t.Fatalf("Get inside the window made %v on the FS", calls)
 		}
-		if calls := fsys.take(); !slices.Equal(calls, want) {
-			t.Fatalf("Get %d made %v on the FS, want %v", i, calls, want)
+		if st := s.Stats(); st.Touches != 1 {
+			t.Fatalf("Touches = %d inside the window, want 1", st.Touches)
 		}
 	}
-	if st := s.Stats(); st.Hits != 5 || st.HotHits != 5 || st.HotMemoryHits != 4 || st.Misses != 0 {
+	for range 2 { // at touchEvery, then touchEvery-1 later
+		clock.step(1)
+		mustGet(t, s, key, val)
+		if calls := fsys.take(); !slices.Equal(calls, []string{"Chtimes"}) {
+			t.Fatalf("first Get after the window made %v on the FS, want one Chtimes", calls)
+		}
+		clock.step(touchEvery - 1)
+		mustGet(t, s, key, val)
+		if calls := fsys.take(); len(calls) != 0 {
+			t.Fatalf("Get inside the next window made %v on the FS", calls)
+		}
+	}
+	if st := s.Stats(); st.Hits != 8 || st.HotHits != 8 || st.HotMemoryHits != 7 || st.Touches != 3 || st.Misses != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	checkMem(t, s.hot)
@@ -163,12 +224,14 @@ func TestHotMemPutServesNewBytes(t *testing.T) {
 	}
 }
 
-// TestHotMemRemovedFileMisses: a file removed behind the store's back is a
-// miss even though its value was remembered, because the touch that
-// refreshes the LRU clock finds it gone.
+// TestHotMemRemovedFileMisses: a file removed behind the store's back is
+// served from the bytes verified before, but only until the window since
+// the last touch closes: the first hit after it makes the touch, which
+// finds the file gone, so the value is forgotten and the hit misses.
 func TestHotMemRemovedFileMisses(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 0)
+	clock := stepClock(s.hot)
 	key, val := keyOf("removed"), []byte("soon gone")
 	if err := s.Put(key, val); err != nil {
 		t.Fatal(err)
@@ -177,14 +240,65 @@ func TestHotMemRemovedFileMisses(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, key+suffix)); err != nil {
 		t.Fatal(err)
 	}
+	clock.step(touchEvery - 1)
+	mustGet(t, s, key, val)
+	clock.step(1)
 	if got, ok := s.Get(key); ok {
-		t.Fatalf("removed entry served from memory: %q", got)
+		t.Fatalf("removed entry served from memory after the window: %q", got)
 	}
-	if st := s.Stats(); st.Misses != 1 || st.HotMemoryHits != 0 {
+	if st := s.Stats(); st.Misses != 1 || st.HotMemoryHits != 1 || st.Touches != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	checkMem(t, s.hot)
 	recompute(t, s, key, val)
+}
+
+// TestHotMemTouchWindowLRU: the window delays the LRU clock, it does not
+// stop it. A remembered entry hit after the window gets a fresh mtime, a
+// hit inside it leaves the mtime less than touchEvery behind, and under a
+// byte budget an entry served inside the window is not evicted while an
+// older entry exists, although it was Put before that entry.
+func TestHotMemTouchWindowLRU(t *testing.T) {
+	val := bytes.Repeat([]byte("w"), 100)
+	s, err := OpenOptions(t.TempDir(), Options{MaxBytes: 2 * int64(headerSize+len(val))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := stepClock(s.hot)
+	served, idle := keyOf("window-served"), keyOf("window-idle")
+	for _, k := range []string{served, idle} {
+		if err := s.Put(k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := clock.step(0)
+	mustGet(t, s, served, val)
+	if got := mtime(t, s, served); !got.Equal(first) {
+		t.Fatalf("first Get set mtime %v, want %v", got, first)
+	}
+	last := clock.step(touchEvery / 2)
+	mustGet(t, s, served, val)
+	if got := mtime(t, s, served); !got.Equal(first) || last.Sub(got) >= touchEvery {
+		t.Fatalf("Get inside the window moved mtime %v → %v", first, got)
+	}
+	fresh := clock.step(touchEvery / 2)
+	mustGet(t, s, served, val)
+	if got := mtime(t, s, served); !got.Equal(fresh) {
+		t.Fatalf("first Get after the window set mtime %v, want %v", got, fresh)
+	}
+	clock.step(touchEvery / 2)
+	mustGet(t, s, served, val)
+	if st := s.Stats(); st.Touches != 2 || st.HotMemoryHits != 3 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if err := s.Put(keyOf("window-next"), val); err != nil { // evicts one of the two
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(s.hot.path(idle)); !os.IsNotExist(err) {
+		t.Fatalf("the idle entry survived eviction: %v", err)
+	}
+	mustGet(t, s, served, val)
+	checkMem(t, s.hot)
 }
 
 // TestHotMemSurvivesCorruptionUntilScrub: the scrubber reads files, never
@@ -252,8 +366,9 @@ func TestHotMemForgetsDroppedEntries(t *testing.T) {
 	}
 }
 
-// TestHotMemPeekNeverAdds: Peek reads and verifies the file every time and
-// never fills the table, so the first serving Get after it still reads.
+// TestHotMemPeekNeverAdds: Peek reads and verifies the file every time,
+// never fills the table and never reads the clock, so the first serving
+// Get after it still reads.
 func TestHotMemPeekNeverAdds(t *testing.T) {
 	s, fsys := openSpy(t)
 	key, val := keyOf("peeked"), []byte("copied to a replica")
@@ -261,6 +376,7 @@ func TestHotMemPeekNeverAdds(t *testing.T) {
 		t.Fatal(err)
 	}
 	fsys.take()
+	clock := stepClock(s.hot)
 	for range 3 {
 		if got, ok := s.Peek(key); !ok || !bytes.Equal(got, val) {
 			t.Fatalf("Peek = %q, %v", got, ok)
@@ -269,6 +385,9 @@ func TestHotMemPeekNeverAdds(t *testing.T) {
 	if calls := fsys.take(); !slices.Equal(calls, []string{"ReadFile", "ReadFile", "ReadFile"}) {
 		t.Fatalf("3 Peeks made %v on the FS", calls)
 	}
+	if n := clock.reads.Load(); n != 0 {
+		t.Fatalf("3 Peeks read the clock %d times", n)
+	}
 	if n := len(s.hot.mem); n != 0 {
 		t.Fatalf("Peek filled the table with %d values", n)
 	}
@@ -276,7 +395,7 @@ func TestHotMemPeekNeverAdds(t *testing.T) {
 	if calls := fsys.take(); !slices.Equal(calls, []string{"ReadFile", "Chtimes"}) {
 		t.Fatalf("first Get after Peeks made %v on the FS", calls)
 	}
-	if st := s.Stats(); st.HotMemoryHits != 0 || st.HotHits != 4 {
+	if st := s.Stats(); st.HotMemoryHits != 0 || st.HotHits != 4 || st.Touches != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -368,13 +487,15 @@ func TestCorruptReadKeepsRacingPut(t *testing.T) {
 }
 
 // TestHotMemAgreesWithDisk races Gets against Puts of two different values
-// per key, LRU eviction and scrubs. Every Get must return one of the
-// key's values, and once traffic stops each remembered value must equal
-// what its file holds.
+// per key, LRU eviction, scrubs and a clock that steps past the touch
+// window, so remembered hits refresh mtimes while the rest goes on. Every
+// Get must return one of the key's values, and once traffic stops each
+// remembered value must equal what its file holds.
 func TestHotMemAgreesWithDisk(t *testing.T) {
 	dir := t.TempDir()
 	vals := [][]byte{bytes.Repeat([]byte("s"), 60), bytes.Repeat([]byte("L"), 900)}
 	s, _ := Open(dir, 5*int64(headerSize+len(vals[1])))
+	clock := stepClock(s.hot)
 	keys := make([]string, 8)
 	for i := range keys {
 		keys[i] = keyOf(fmt.Sprintf("agree-%d", i))
@@ -394,6 +515,8 @@ func TestHotMemAgreesWithDisk(t *testing.T) {
 					}
 				case g == 0 && i%50 == 1:
 					s.Scrub()
+				case g == 1 && i%10 == 1:
+					clock.step(touchEvery)
 				default:
 					if got, ok := s.Get(k); ok && !bytes.Equal(got, vals[0]) && !bytes.Equal(got, vals[1]) {
 						t.Errorf("Get(%s) = %q, a value never put", k[:8], got)

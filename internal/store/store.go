@@ -12,8 +12,12 @@
 //     renamed, every read from disk validates a length+checksum header, and
 //     the file mtime is the LRU clock. A serving Get remembers the payload
 //     it verified in a table of at most 1 MiB, so a repeated hit reads no
-//     file. A pre-engine store directory IS a hot tier, so old stores open
-//     and migrate transparently.
+//     file, and refreshes the mtime at most once a second, so a repeat
+//     inside that second makes no system call at all: a remembered entry's
+//     mtime lags its last serving hit by less than a second, and a file
+//     removed behind the store's back is served for at most a second more.
+//     A pre-engine store directory IS a hot tier, so old stores open and
+//     migrate transparently.
 //   - The cold tier packs aged-out entries into append-only, per-record
 //     compressed, CRC-checksummed segment files under cold/, located by an
 //     in-memory index rebuilt on open from segment footers (or salvaged by
@@ -107,6 +111,7 @@ type Stats struct {
 	Hits          uint64
 	HotHits       uint64 // subset of Hits served from the hot tier
 	HotMemoryHits uint64 // subset of HotHits answered from remembered bytes, no file read
+	Touches       uint64 // hot entry mtime (LRU clock) refreshes made by serving hits
 	ColdHits      uint64 // subset of Hits served from cold segments
 	Misses        uint64 // absent, corrupt, or unreadable entries
 	Corrupt       uint64 // subset of Misses that failed validation in either tier
@@ -292,13 +297,16 @@ func (s *Store) read(key string, serve bool) ([]byte, bool) {
 		s.miss(false)
 		return nil, false
 	}
-	v, remembered, herr := s.hot.get(key, serve)
+	v, remembered, touched, herr := s.hot.get(key, serve)
 	if herr == nil {
 		s.mu.Lock()
 		s.st.Hits++
 		s.st.HotHits++
 		if remembered {
 			s.st.HotMemoryHits++
+		}
+		if touched {
+			s.st.Touches++
 		}
 		s.mu.Unlock()
 		return v, true
